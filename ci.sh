@@ -3,7 +3,8 @@
 #
 # Runs entirely offline (the workspace has zero external dependencies):
 #   1. cargo build --release
-#   2. cargo test -q --workspace
+#   2. cargo test -q --workspace --no-fail-fast (one red test binary
+#      must not hide the suites after it)
 #   3. cargo fmt --check        (skipped if rustfmt is absent)
 #   4. cargo clippy -D warnings (skipped if clippy is absent)
 #   5. cargo doc -D warnings    (skipped if rustdoc is absent)
@@ -40,7 +41,7 @@ run() {
 
 run cargo build --workspace --release
 
-run cargo test -q --workspace
+run cargo test -q --workspace --no-fail-fast
 
 if [ "${SKIP_LINT:-0}" = 1 ]; then
     echo "==> SKIP_LINT=1; fmt and clippy run in the dedicated lint job"

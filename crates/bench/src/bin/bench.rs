@@ -53,8 +53,7 @@ use dataflower_bench::timing::{time, TimingResult};
 use dataflower_cluster::RequestId;
 use dataflower_metrics::Samples;
 use dataflower_rt::channel as rt_channel;
-use dataflower_rt::ring as rt_ring;
-use dataflower_rt::{chunk_spans, BytePool, Bytes, NodeScheduler, Reassembler, ShardedSink};
+use dataflower_rt::{chunk_spans, Bytes, NodeScheduler, Reassembler, ShardedSink};
 use dataflower_sim::{EventQueue, FlowNet, SimTime};
 use dataflower_workflow::{EdgeId, FnId};
 use dataflower_workloads::{
@@ -902,9 +901,9 @@ fn data_plane_benchmarks(h: &Harness) {
 }
 
 /// Execution-core micro-benchmarks: the work-stealing scheduler's
-/// submit→steal→drain throughput, the SPSC link ring's push/pop cost
-/// (same-thread and across a real producer/consumer pair), and pooled
-/// vs. fresh allocation of direct-socket-class frame staging buffers.
+/// submit→steal→drain throughput and the fabric link queue's
+/// (`channel::bounded`) push/pop cost, same-thread and across a real
+/// producer/consumer pair.
 fn scheduler_benchmarks(h: &Harness) {
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -921,8 +920,8 @@ fn scheduler_benchmarks(h: &Harness) {
         assert_eq!(hits.load(Ordering::Relaxed), 2000);
         hits.load(Ordering::Relaxed)
     });
-    h.run("scheduler", "ring_push_pop_8k/same_thread", || {
-        let (tx, rx) = rt_ring::ring::<u64>(1024);
+    h.run("scheduler", "link_queue_8k/same_thread", || {
+        let (tx, rx) = rt_channel::bounded::<u64>(1024);
         let mut buf = Vec::with_capacity(256);
         let mut popped = 0u64;
         for chunk in 0..32u64 {
@@ -935,8 +934,8 @@ fn scheduler_benchmarks(h: &Harness) {
         assert_eq!(popped, 8192);
         popped
     });
-    h.run("scheduler", "ring_push_pop_8k/cross_thread", || {
-        let (tx, rx) = rt_ring::ring::<u64>(1024);
+    h.run("scheduler", "link_queue_8k/cross_thread", || {
+        let (tx, rx) = rt_channel::bounded::<u64>(1024);
         let consumer = std::thread::spawn(move || {
             let mut got = 0u64;
             let mut buf = Vec::with_capacity(256);
@@ -955,34 +954,6 @@ fn scheduler_benchmarks(h: &Harness) {
         let got = consumer.join().expect("consumer thread");
         assert_eq!(got, 8192);
         got
-    });
-    // The shipper's real staging shape: one buffer checkout gathers a
-    // 16-frame batch (16 KiB) before the single socket write.
-    let payload = vec![0xA5u8; 1024];
-    h.run("scheduler", "frame_batch_16x1k_x64/pooled", || {
-        let pool = BytePool::default();
-        let mut staged = 0usize;
-        for _ in 0..64 {
-            let mut b = pool.get();
-            for _ in 0..16 {
-                b.extend_from_slice(&payload);
-            }
-            staged += b.len();
-        }
-        assert_eq!(staged, 64 * 16 * 1024);
-        staged
-    });
-    h.run("scheduler", "frame_batch_16x1k_x64/fresh", || {
-        let mut staged = 0usize;
-        for _ in 0..64 {
-            let mut b = Vec::new();
-            for _ in 0..16 {
-                b.extend_from_slice(&payload);
-            }
-            staged += b.len();
-        }
-        assert_eq!(staged, 64 * 16 * 1024);
-        staged
     });
 }
 

@@ -8,10 +8,10 @@
 //! * **blocking bounded send** — a full DLU queue blocks `put`, which is
 //!   the backpressure of the paper's Fig. 6a.
 //!
-//! Fabric links, which are single-consumer by construction (one shipper
-//! per directed link), use the index-striped ring in [`crate::ring`]
-//! instead — same blocking/disconnection semantics, no shared queue
-//! mutex on the hot path.
+//! Fabric links ride the same bounded channel: one shipper per directed
+//! link drains it in batches ([`Receiver::drain_into`], or the
+//! non-blocking [`Receiver::try_drain`] to gather a burst already
+//! queued).
 //!
 //! Disconnection mirrors crossbeam: `recv` fails once the queue is empty
 //! and every sender is gone; `send` fails once every receiver is gone.
@@ -266,10 +266,7 @@ impl<T> Receiver<T> {
         let mut inner = self.0.inner.lock().expect("channel lock poisoned");
         loop {
             if !inner.queue.is_empty() {
-                let n = max.min(inner.queue.len());
-                buf.extend(inner.queue.drain(..n));
-                self.after_pop(inner, n);
-                return Ok(n);
+                return Ok(self.pop_into(inner, buf, max));
             }
             if inner.senders == 0 {
                 return Err(RecvError);
@@ -278,8 +275,36 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Post-pop notification discipline, shared by [`Receiver::recv`] and
-    /// [`Receiver::drain_into`]: wake senders only on the full→non-full
+    /// Non-blocking [`Receiver::drain_into`]: pops whatever is queued
+    /// right now (up to `max`) into `buf`. `Ok(0)` means the channel is
+    /// currently empty but still connected.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RecvError`] once the channel is empty and every sender
+    /// has been dropped.
+    pub fn try_drain(&self, buf: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
+        let inner = self.0.inner.lock().expect("channel lock poisoned");
+        if inner.queue.is_empty() && inner.senders == 0 {
+            return Err(RecvError);
+        }
+        Ok(self.pop_into(inner, buf, max))
+    }
+
+    /// Moves up to `max` queued messages into `buf` and runs the
+    /// post-pop notifications; returns how many moved.
+    fn pop_into(&self, mut inner: MutexGuard<'_, Inner<T>>, buf: &mut Vec<T>, max: usize) -> usize {
+        let n = max.min(inner.queue.len());
+        if n > 0 {
+            buf.extend(inner.queue.drain(..n));
+            self.after_pop(inner, n);
+        }
+        n
+    }
+
+    /// Post-pop notification discipline, shared by [`Receiver::recv`],
+    /// [`Receiver::drain_into`] and [`Receiver::try_drain`]: wake
+    /// senders only on the full→non-full
     /// transition (unbounded channels never notify `not_full`), and baton
     /// a `not_empty` wakeup onward when messages remain for other
     /// receivers.
@@ -476,6 +501,30 @@ mod tests {
         assert_eq!(rx.drain_into(&mut buf, 8), Ok(2));
         assert_eq!(buf, vec![1, 2]);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn try_drain_never_blocks_and_wakes_a_full_sender() {
+        let (tx, rx) = bounded::<u32>(1);
+        let mut buf = Vec::new();
+        assert_eq!(rx.try_drain(&mut buf, 8), Ok(0)); // empty, connected
+        tx.send(1).unwrap();
+        let t = std::thread::spawn(move || {
+            tx.send(2).unwrap(); // parks on full until try_drain pops
+        });
+        // The sleep only makes it likely the sender is already parked;
+        // the loop below is correct either way, and hangs if a pop from
+        // a full channel ever fails to wake it.
+        std::thread::sleep(Duration::from_millis(20));
+        while buf.len() < 2 {
+            let n = rx.try_drain(&mut buf, 8).expect("sender alive or queued");
+            if n == 0 {
+                std::thread::yield_now();
+            }
+        }
+        t.join().unwrap();
+        assert_eq!(buf, vec![1, 2]);
+        assert_eq!(rx.try_drain(&mut buf, 8), Err(RecvError)); // empty, disconnected
     }
 
     #[test]

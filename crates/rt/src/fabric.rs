@@ -1,17 +1,18 @@
-//! The in-process inter-node fabric: per-link bounded SPSC rings,
-//! optional bandwidth/latency shaping, and the chunked streaming
-//! protocol of the remote pipe connector (§7).
+//! The in-process inter-node fabric: per-link bounded queues, optional
+//! bandwidth/latency shaping, and the chunked streaming protocol of the
+//! remote pipe connector (§7).
 //!
 //! Every ordered pair of distinct nodes is connected by one directed
-//! **link**: a bounded [`ring`](crate::ring) drained by a shipper
-//! thread. Each link has exactly one steady-state producer (the source
-//! node's merged DLU daemon) and one consumer (the shipper), the SPSC
-//! shape the ring's striped-slot fast path is built for. The bounded
-//! ring gives cross-node backpressure (a DLU daemon that out-produces a
-//! link blocks, exactly like a saturated local DLU queue), and the
-//! shipper drains up to [`SHIPPER_BATCH`] frames per wakeup, applying
-//! the link's [`LinkConfig`] shaping to each before handing it to the
-//! destination node's ingress.
+//! **link**: a [`channel::bounded`](crate::channel::bounded) queue
+//! drained by a shipper thread — the same channel the DLU queues use.
+//! Its steady-state producer is the source node's merged DLU daemon;
+//! recovery replays and relocation forwarding are occasional second
+//! producers. The bounded queue gives cross-node backpressure (a DLU
+//! daemon that out-produces a link blocks, exactly like a saturated
+//! local DLU queue), and the shipper drains up to [`SHIPPER_BATCH`]
+//! frames per wakeup under one lock acquisition, applying the link's
+//! [`LinkConfig`] shaping to each before handing it to the destination
+//! node's ingress.
 //!
 //! Transfers routed through the **streaming remote pipe** are cut into
 //! chunks by [`chunk_spans`]; each chunk frame carries a zero-copy
@@ -91,8 +92,8 @@ pub struct LinkConfig {
     /// Serialization rate; `None` leaves the link unshaped (messages are
     /// forwarded as fast as the shipper thread runs).
     pub bandwidth_bytes_per_sec: Option<f64>,
-    /// Capacity of the link's bounded ring (rounded up to a power of
-    /// two); a full link blocks the sending DLU daemon (cross-node
+    /// Capacity of the link's bounded queue, in frames (0 is treated as
+    /// 1); a full link blocks the sending DLU daemon (cross-node
     /// backpressure).
     pub queue_capacity: usize,
 }
@@ -718,7 +719,7 @@ pub(crate) type Ingress = Arc<dyn Fn(NetMsg) + Send + Sync>;
 
 /// Spawns the shipper thread of one directed link `src → dst`.
 ///
-/// The shipper drains the link's bounded ring in FIFO order — up to
+/// The shipper drains the link's bounded queue in FIFO order — up to
 /// [`SHIPPER_BATCH`] frames per wakeup — and for
 /// each frame sleeps the shaped transfer time (latency once per transfer
 /// plus bytes/bandwidth serialization delay), then hands it to
@@ -733,7 +734,7 @@ pub(crate) fn spawn_link(
     src: usize,
     dst: usize,
     cfg: LinkConfig,
-    rx: crate::ring::RingReceiver<NetMsg>,
+    rx: crate::channel::Receiver<NetMsg>,
     ingress: Ingress,
     shutdown: Arc<AtomicBool>,
     depth: Arc<AtomicUsize>,

@@ -23,8 +23,8 @@
 //!   three-way pipe choice — direct socket under 16 KiB, node-local pipe
 //!   when co-located, chunked streaming remote pipe (with §6.2
 //!   checkpoint marks) across nodes;
-//! * cross-node traffic rides an in-process fabric of per-link
-//!   lock-free SPSC rings ([`ring`]) with optional bandwidth/latency
+//! * cross-node traffic rides an in-process fabric of per-link bounded
+//!   queues ([`channel::bounded`]) with optional bandwidth/latency
 //!   shaping ([`LinkConfig`]);
 //! * bounded DLU queues exert genuine backpressure on over-producing
 //!   functions (Fig. 6a);
@@ -77,8 +77,6 @@ pub mod fabric;
 pub mod fault;
 mod node;
 mod orchestrator;
-pub mod pool;
-pub mod ring;
 mod runtime;
 pub mod sched;
 pub mod sink;
@@ -97,8 +95,6 @@ pub use fault::{FaultPlan, FrameFate, NodeKill};
 pub use node::{
     ByLevel, LoadAware, NodeRuntime, Placement, PlacementPolicy, RoundRobin, SingleNode,
 };
-pub use pool::{BytePool, PooledBuf};
-pub use ring::{RingNotify, RingReceiver, RingSender};
 pub use runtime::{
     ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, RecoveryConfig, ReqId,
     RtConfig, RtStats, Runtime, RuntimeBuilder,

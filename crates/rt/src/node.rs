@@ -335,6 +335,14 @@ pub(crate) struct NodeReqState {
     pub done: std::collections::HashSet<(EdgeId, u64)>,
 }
 
+/// Lock stripes of every node's Wait-Match sink. Striping is kept
+/// because `NetMsg::Chunk` ingress runs `Reassembler::write_bytes` (the
+/// chunk memcpy) inside `sink.with`, so a single lock serialises every
+/// inbound chunk copy on a node. On `stream_large_3n` that lost
+/// `peak_rps` in 7 of 7 pairs (−8 %) and `lat_p99_heavy_ms` in 6 of 7
+/// (+5 %) — `reports/pr12-parent-vs-change.md`.
+const SINK_STRIPES: usize = 16;
+
 /// The shared (thread-accessible) state of one node: its lock-striped
 /// Wait-Match data sink, keyed by request id, plus the crash flag of the
 /// §6.2 fault model. DLU routing lookups, FLU trigger checks, janitor
@@ -358,9 +366,9 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    pub fn new(stripes: usize) -> NodeState {
+    pub fn new() -> NodeState {
         NodeState {
-            sink: ShardedSink::new(stripes),
+            sink: ShardedSink::new(SINK_STRIPES),
             down: AtomicBool::new(false),
             last_beat: AtomicU64::new(0),
             lost: AtomicBool::new(false),

@@ -21,16 +21,16 @@
 //!   triggers an FLU the instant its inputs are complete
 //!   (data-availability triggering, no orchestrator);
 //! * cross-node traffic flows over the in-process **fabric**: one
-//!   bounded SPSC [`ring`](crate::ring) plus shipper thread per directed
-//!   node pair, with optional bandwidth/latency shaping
-//!   ([`LinkConfig`]);
+//!   bounded queue ([`channel::bounded`](crate::channel::bounded)) plus
+//!   shipper thread per directed node pair, with optional
+//!   bandwidth/latency shaping ([`LinkConfig`]);
 //! * one runtime-wide **janitor thread** passively expires sink entries
 //!   past their TTL (counting them as spilled to disk).
 //!
 //! Bounded DLU queues give real backpressure: a function that produces
 //! faster than its DLU drains blocks in `put`, exactly Fig. 6a; a DLU
 //! that out-produces an inter-node link blocks on the link's bounded
-//! ring the same way.
+//! queue the same way.
 //!
 //! When elastic scaling is enabled ([`AutoscaleConfig`]), a runtime-wide
 //! **autoscaler thread** samples every function's DLU backlog each tick,
@@ -62,7 +62,6 @@ use crate::fabric::{chunk_spans, spawn_link, LinkConfig, LinkRetention, NetMsg};
 use crate::fault::{FaultPlan, FaultState, FrameFate};
 use crate::node::{NodeReqState, NodeRuntime, NodeState, Placement, PlacementPolicy, SinkEntry};
 use crate::orchestrator;
-use crate::ring::{self, RingReceiver, RingSender};
 use crate::sched::NodeScheduler;
 use crate::trace::{EventKind as TraceEventKind, FateKind, TraceEvent, TraceRecorder};
 
@@ -98,10 +97,6 @@ pub struct RtConfig {
     /// Passive-expire TTL for unconsumed sink entries (`None` disables
     /// the janitors).
     pub sink_ttl: Option<Duration>,
-    /// Lock stripes of each node's Wait-Match sink (rounded up to a
-    /// power of two). More stripes mean less contention between
-    /// concurrent requests; `1` reproduces the old single-lock sink.
-    pub sink_stripes: usize,
 }
 
 impl Default for RtConfig {
@@ -110,7 +105,6 @@ impl Default for RtConfig {
             dlu_queue_capacity: 64,
             flu_replicas: 1,
             sink_ttl: Some(Duration::from_secs(30)),
-            sink_stripes: 16,
         }
     }
 }
@@ -527,9 +521,9 @@ pub(crate) struct WireState {
     pub(crate) local: usize,
     /// Total endpoints: worker nodes plus the trailing coordinator.
     pub(crate) endpoints: usize,
-    /// Outbound frame rings, one per remote endpoint (`None` at
+    /// Outbound frame queues, one per remote endpoint (`None` at
     /// `local`). The transport's per-link agents drain them onto TCP.
-    pub(crate) out: Vec<Option<RingSender<NetMsg>>>,
+    pub(crate) out: Vec<Option<Sender<NetMsg>>>,
     /// Requests the coordinator already collected or abandoned: late
     /// frames for them must not re-seed sink state (they are orphans,
     /// acked away so the sender's retention cannot leak).
@@ -660,10 +654,10 @@ impl Inner {
     }
 }
 
-/// One node's outbound fabric ring senders, indexed by destination
+/// One node's outbound fabric link senders, indexed by destination
 /// (`None` on the self-link). Shared so per-put row lookups are one Arc
 /// clone.
-pub(crate) type LinkRow = Arc<Vec<Option<RingSender<NetMsg>>>>;
+pub(crate) type LinkRow = Arc<Vec<Option<Sender<NetMsg>>>>;
 
 /// Row stride of the directed-link vectors (`link_depth`, `retention`):
 /// the node count for the in-process fabric, the endpoint count (nodes
@@ -733,7 +727,7 @@ pub struct ClusterRuntimeBuilder {
 /// What [`ClusterRuntimeBuilder::start_worker`] hands the transport: the
 /// local runtime plus one outbound frame receiver per directed link this
 /// node sends on (`None` elsewhere).
-pub(crate) type WorkerStart = (ClusterRuntime, Vec<Option<RingReceiver<NetMsg>>>);
+pub(crate) type WorkerStart = (ClusterRuntime, Vec<Option<Receiver<NetMsg>>>);
 
 impl ClusterRuntimeBuilder {
     /// Starts building a runtime for `workflow` (single-node placement
@@ -840,7 +834,7 @@ impl ClusterRuntimeBuilder {
             dlu_rx.push(Some(rx));
         }
         let node_states: Vec<Arc<NodeState>> = (0..node_count)
-            .map(|_| Arc::new(NodeState::new(self.cfg.rt.sink_stripes)))
+            .map(|_| Arc::new(NodeState::new()))
             .collect();
         let link_depth: Vec<Arc<AtomicUsize>> = (0..node_count * node_count)
             .map(|_| Arc::new(AtomicUsize::new(0)))
@@ -915,21 +909,21 @@ impl ClusterRuntimeBuilder {
             }
         }
 
-        // Fabric: one bounded SPSC ring + shipper thread per directed
+        // Fabric: one bounded queue + shipper thread per directed
         // node pair (the node's single merged DLU daemon is the one
         // producer). The rows live in `Inner.links` (the live routing
         // table); `signal_shutdown` clears them, which is what cascades
         // into shipper exit at teardown.
         let mut fabric_threads = Vec::new();
-        let mut links_by_src: Vec<Arc<Vec<Option<RingSender<NetMsg>>>>> = Vec::new();
+        let mut links_by_src: Vec<Arc<Vec<Option<Sender<NetMsg>>>>> = Vec::new();
         for src in 0..node_count {
-            let mut row: Vec<Option<RingSender<NetMsg>>> = Vec::with_capacity(node_count);
+            let mut row: Vec<Option<Sender<NetMsg>>> = Vec::with_capacity(node_count);
             for dst in 0..node_count {
                 if src == dst {
                     row.push(None);
                     continue;
                 }
-                let (tx, rx) = ring::ring::<NetMsg>(self.cfg.link.queue_capacity);
+                let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
                 let ingress_inner = Arc::clone(&inner);
                 fabric_threads.push(spawn_link(
                     src,
@@ -1040,7 +1034,7 @@ impl ClusterRuntimeBuilder {
         let (local_dlu_tx, local_dlu_rx) = bounded::<DluMsg>(self.cfg.rt.dlu_queue_capacity);
         dlu_tx[spec.local] = Some(local_dlu_tx);
         let node_states: Vec<Arc<NodeState>> = (0..node_count)
-            .map(|_| Arc::new(NodeState::new(self.cfg.rt.sink_stripes)))
+            .map(|_| Arc::new(NodeState::new()))
             .collect();
         let link_depth: Vec<Arc<AtomicUsize>> = (0..endpoints * endpoints)
             .map(|_| Arc::new(AtomicUsize::new(0)))
@@ -1065,14 +1059,14 @@ impl ClusterRuntimeBuilder {
         } else {
             Vec::new()
         };
-        let mut out: Vec<Option<RingSender<NetMsg>>> = Vec::with_capacity(endpoints);
-        let mut out_rx: Vec<Option<RingReceiver<NetMsg>>> = Vec::with_capacity(endpoints);
+        let mut out: Vec<Option<Sender<NetMsg>>> = Vec::with_capacity(endpoints);
+        let mut out_rx: Vec<Option<Receiver<NetMsg>>> = Vec::with_capacity(endpoints);
         for dst in 0..endpoints {
             if dst == spec.local {
                 out.push(None);
                 out_rx.push(None);
             } else {
-                let (tx, rx) = ring::ring::<NetMsg>(self.cfg.link.queue_capacity);
+                let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
                 out.push(Some(tx));
                 out_rx.push(Some(rx));
             }
@@ -1762,7 +1756,7 @@ impl ClusterRuntime {
             *tx = None;
         }
         // Drop the link rows: they hold the only long-lived senders into
-        // the link shippers, which exit when their ring disconnects.
+        // the link shippers, which exit when their queue disconnects.
         self.inner
             .links
             .write()
@@ -2229,7 +2223,7 @@ fn route(inner: &Inner, msg: DluMsg) {
 #[allow(clippy::too_many_arguments)]
 fn ship(
     inner: &Inner,
-    links: &[Option<RingSender<NetMsg>>],
+    links: &[Option<Sender<NetMsg>>],
     src_node: usize,
     dst_node: usize,
     req: ReqId,
@@ -2352,7 +2346,7 @@ fn ship(
 #[allow(clippy::too_many_arguments)]
 fn ship_whole(
     inner: &Inner,
-    links: &[Option<RingSender<NetMsg>>],
+    links: &[Option<Sender<NetMsg>>],
     src_node: usize,
     dst_node: usize,
     req: ReqId,

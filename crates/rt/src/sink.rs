@@ -38,6 +38,8 @@
 //! assert_eq!(sink.remove(2).unwrap().len(), 65);
 //! ```
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 /// Multiplicative (Fibonacci) hash spreading sequential request ids
@@ -46,142 +48,31 @@ use std::sync::Mutex;
 /// would collide on one stripe.
 const HASH_MULT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Open-addressing `u64 → V` map used inside each stripe. Linear
-/// probing with backward-shift deletion (no tombstones), power-of-two
-/// capacity, ≤3/4 load. Compared to `std::collections::HashMap` this
-/// drops SipHash (one multiply instead) and keeps the entries in one
-/// contiguous slot array, so the janitor/depth-gauge sweeps — which
-/// iterate every entry while holding the stripe lock — walk linear
-/// memory instead of chasing hashbrown control groups.
-///
-/// Bucket selection uses the *top* bits of the multiplied key while
-/// stripe selection uses bits 32.., so keys that collided into one
-/// stripe still spread across its buckets.
-#[derive(Debug)]
-struct OpenMap<V> {
-    slots: Vec<Option<(u64, V)>>,
-    len: usize,
-}
+/// One-multiply hasher for the stripes' `HashMap`s. Request ids are
+/// minted by the runtime itself (a counter; in worker-process mode the
+/// coordinator's), never taken from outside the program, so SipHash's
+/// collision resistance buys nothing here. hashbrown picks the bucket
+/// from the low bits and the control tag from the top seven of the
+/// product; stripe selection uses bits 32.., so keys that collided into
+/// one stripe still spread across its buckets.
+#[derive(Debug, Default, Clone, Copy)]
+struct ReqIdHasher(u64);
 
-impl<V> OpenMap<V> {
-    fn new() -> OpenMap<V> {
-        OpenMap {
-            slots: Vec::new(),
-            len: 0,
-        }
+impl Hasher for ReqIdHasher {
+    fn write_u64(&mut self, k: u64) {
+        self.0 = k.wrapping_mul(HASH_MULT);
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("sink keys are u64 request ids");
     }
 
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn bucket(&self, key: u64) -> usize {
-        debug_assert!(self.slots.len().is_power_of_two());
-        let shift = 64 - self.slots.len().trailing_zeros();
-        (key.wrapping_mul(HASH_MULT) >> shift) as usize
-    }
-
-    /// Slot index currently holding `key`, if present.
-    fn find(&self, key: u64) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.bucket(key);
-        loop {
-            match &self.slots[i] {
-                None => return None,
-                Some((k, _)) if *k == key => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        let i = self.find(key)?;
-        match &mut self.slots[i] {
-            Some((_, v)) => Some(v),
-            None => unreachable!("find returned an occupied slot"),
-        }
-    }
-
-    fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.bucket(key);
-        loop {
-            match &mut self.slots[i] {
-                slot @ None => {
-                    *slot = Some((key, value));
-                    self.len += 1;
-                    return None;
-                }
-                Some((k, v)) if *k == key => {
-                    return Some(std::mem::replace(v, value));
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> &mut V {
-        if self.find(key).is_none() {
-            self.insert(key, default());
-        }
-        let i = self.find(key).expect("inserted above");
-        match &mut self.slots[i] {
-            Some((_, v)) => v,
-            None => unreachable!("find returned an occupied slot"),
-        }
-    }
-
-    fn remove(&mut self, key: u64) -> Option<V> {
-        let mut i = self.find(key)?;
-        let (_, value) = self.slots[i].take().expect("find returned occupied");
-        self.len -= 1;
-        // Backward-shift the rest of the probe cluster into the gap so
-        // lookups never need tombstones: an entry moves back unless it
-        // already sits in its home bucket.
-        let mask = self.slots.len() - 1;
-        let mut j = (i + 1) & mask;
-        while let Some((k, _)) = &self.slots[j] {
-            if (j.wrapping_sub(self.bucket(*k)) & mask) == 0 {
-                break;
-            }
-            self.slots[i] = self.slots[j].take();
-            i = j;
-            j = (j + 1) & mask;
-        }
-        Some(value)
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
-        self.len = 0;
-        for (k, v) in old.into_iter().flatten() {
-            self.insert(k, v);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|(k, v)| (*k, v)))
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut V)> {
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.as_mut().map(|(k, v)| (*k, &mut *v)))
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
+
+type StripeMap<V> = HashMap<u64, V, BuildHasherDefault<ReqIdHasher>>;
 
 /// A lock-striped `u64 → V` map: N independent `Mutex<HashMap>` stripes,
 /// selected by key hash.
@@ -202,7 +93,7 @@ impl<V> OpenMap<V> {
 /// assert!(sink.is_empty());
 /// ```
 pub struct ShardedSink<V> {
-    stripes: Box<[Mutex<OpenMap<V>>]>,
+    stripes: Box<[Mutex<StripeMap<V>>]>,
     mask: u64,
 }
 
@@ -213,7 +104,7 @@ impl<V> ShardedSink<V> {
     pub fn new(stripes: usize) -> ShardedSink<V> {
         let n = stripes.max(1).next_power_of_two();
         ShardedSink {
-            stripes: (0..n).map(|_| Mutex::new(OpenMap::new())).collect(),
+            stripes: (0..n).map(|_| Mutex::new(StripeMap::default())).collect(),
             mask: n as u64 - 1,
         }
     }
@@ -223,7 +114,7 @@ impl<V> ShardedSink<V> {
         self.stripes.len()
     }
 
-    fn stripe(&self, key: u64) -> &Mutex<OpenMap<V>> {
+    fn stripe(&self, key: u64) -> &Mutex<StripeMap<V>> {
         let idx = (key.wrapping_mul(HASH_MULT) >> 32) & self.mask;
         &self.stripes[idx as usize]
     }
@@ -242,14 +133,14 @@ impl<V> ShardedSink<V> {
         self.stripe(key)
             .lock()
             .expect("sink stripe poisoned")
-            .remove(key)
+            .remove(&key)
     }
 
     /// Runs `f` on the entry under `key` (or `None` if absent) while
     /// holding only that key's stripe lock.
     pub fn with<R>(&self, key: u64, f: impl FnOnce(Option<&mut V>) -> R) -> R {
         let mut map = self.stripe(key).lock().expect("sink stripe poisoned");
-        f(map.get_mut(key))
+        f(map.get_mut(&key))
     }
 
     /// Runs `f` on the entry under `key`, inserting `default()` first if
@@ -264,7 +155,7 @@ impl<V> ShardedSink<V> {
         f: impl FnOnce(&mut V) -> R,
     ) -> R {
         let mut map = self.stripe(key).lock().expect("sink stripe poisoned");
-        f(map.get_or_insert_with(key, default))
+        f(map.entry(key).or_insert_with(default))
     }
 
     /// Visits every entry mutably, one stripe locked at a time — the
@@ -275,7 +166,7 @@ impl<V> ShardedSink<V> {
         for stripe in self.stripes.iter() {
             let mut map = stripe.lock().expect("sink stripe poisoned");
             for (k, v) in map.iter_mut() {
-                f(k, v);
+                f(*k, v);
             }
         }
         // A sweep is maintenance, and a sweeper that immediately starts
@@ -293,7 +184,7 @@ impl<V> ShardedSink<V> {
         for stripe in self.stripes.iter() {
             let map = stripe.lock().expect("sink stripe poisoned");
             for (k, v) in map.iter() {
-                acc = f(acc, k, v);
+                acc = f(acc, *k, v);
             }
         }
         // Same cooperative yield as `for_each_mut`: a gauge loop folding

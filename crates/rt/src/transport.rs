@@ -47,12 +47,11 @@ use dataflower::CheckpointSchedule;
 use dataflower_workflow::{json, EdgeId, Endpoint, Workflow};
 
 use crate::bytes::Bytes;
+use crate::channel::{bounded, Receiver, Sender};
 use crate::error::RtError;
 use crate::fabric::{LinkConfig, LinkRetention, NetMsg, Reassembler, SHIPPER_BATCH};
 use crate::node::Placement;
 use crate::orchestrator::{activate_pool, fallback_relocate};
-use crate::pool::{BytePool, DIRECT_SOCKET_POOL_BYTES};
-use crate::ring::{ring, RingReceiver, RingSender};
 use crate::runtime::{
     chaos_ingress, handle_net_msg, node_pressure_of, resolve_active, retention_of, stride,
     worker_transfer_base, ClusterRtConfig, ClusterRuntimeBuilder, Counters, CrashReport, Inner,
@@ -564,6 +563,12 @@ fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
     Ok(())
 }
 
+/// Frames up to this size (the sub-16 KiB direct-socket class of the
+/// paper's §7 pipe taxonomy, and ack frames) are copied into the link
+/// agent's staging buffer and leave as one write per burst; larger ones
+/// go out as their own zero-copy write.
+const STAGED_FRAME_BYTES: usize = 16 * 1024;
+
 /// The shipping thread of one outbound directed link `local → dst`:
 /// drains the link's bounded queue, lazily dials the destination's
 /// current address (re-read on every attempt, so a restarted peer's new
@@ -579,13 +584,14 @@ fn link_agent(
     local: usize,
     dst: usize,
     epoch: u32,
-    rx: RingReceiver<NetMsg>,
+    rx: Receiver<NetMsg>,
     addr: Arc<AddrCell>,
 ) {
     let mut conn: Option<TcpStream> = None;
     let mut had_session = false;
     let mut backlog: VecDeque<NetMsg> = VecDeque::new();
-    let pool = BytePool::default();
+    // Staging buffer for small-frame runs, reused across bursts.
+    let mut stage: Vec<u8> = Vec::new();
     'frames: loop {
         let msg = match backlog.pop_front() {
             Some(m) => m,
@@ -674,33 +680,23 @@ fn link_agent(
             }
             // Unshaped link: gather the burst already queued behind this
             // frame and ship it as one write. Small frames (the sub-16
-            // KiB direct-socket class) and ack frames encode into one
-            // pooled staging buffer; a big payload flushes the staging
-            // run and goes out as its own zero-copy write.
+            // KiB direct-socket class) and ack frames encode into the
+            // staging buffer; a big payload flushes the staging run and
+            // goes out as its own zero-copy write.
             let mut batch: Vec<NetMsg> = Vec::with_capacity(SHIPPER_BATCH);
             batch.push(msg);
-            while batch.len() < SHIPPER_BATCH {
-                if let Some(m) = backlog.pop_front() {
-                    batch.push(m);
-                    continue;
-                }
-                let mut pulled = Vec::new();
-                match rx.try_drain(&mut pulled, SHIPPER_BATCH - batch.len()) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {
-                        for m in pulled {
-                            if matches!(m, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
-                                side.depth_add(local, dst, -1);
-                            }
-                            batch.push(m);
-                        }
-                    }
+            batch.extend(backlog.drain(..backlog.len().min(SHIPPER_BATCH - 1)));
+            let queued_from = batch.len();
+            let _ = rx.try_drain(&mut batch, SHIPPER_BATCH - queued_from);
+            for m in &batch[queued_from..] {
+                if matches!(m, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
+                    side.depth_add(local, dst, -1);
                 }
             }
-            let mut stage = pool.get();
+            stage.clear();
             let mut failed = false;
             for m in &batch {
-                if m.wire_bytes() <= DIRECT_SOCKET_POOL_BYTES {
+                if m.wire_bytes() <= STAGED_FRAME_BYTES {
                     encode_into(&frame_of(m), &mut stage);
                     continue;
                 }
@@ -738,7 +734,7 @@ fn link_agent(
 /// acks have gone stale for longer than the recovery timeout, feeding
 /// the frames back through the link agents. Heals frames lost to
 /// chaos drops, kernel buffers of a killed peer, or torn connections.
-fn retransmit_pump(side: Side, local: usize, out: Vec<Option<RingSender<NetMsg>>>) {
+fn retransmit_pump(side: Side, local: usize, out: Vec<Option<Sender<NetMsg>>>) {
     let timeout = side.retransmit_timeout();
     let tick = (timeout / 2)
         .max(Duration::from_millis(1))
@@ -778,10 +774,10 @@ fn retransmit_pump(side: Side, local: usize, out: Vec<Option<RingSender<NetMsg>>
 /// the page cache survives a `kill -9` of the process, which is the
 /// fault model here (machine loss is out of scope).
 struct CkptLog {
-    file: Mutex<std::fs::File>,
-    /// Record-staging buffers: appends run per inbound data frame, so
-    /// the scratch allocation is pooled instead of per-record.
-    pool: BytePool,
+    /// The log file and the record-staging buffer its appends reuse
+    /// (one append per inbound data frame), both under the one lock a
+    /// write needs anyway.
+    file: Mutex<(std::fs::File, Vec<u8>)>,
 }
 
 impl CkptLog {
@@ -815,8 +811,7 @@ impl CkptLog {
             .open(path)?;
         Ok((
             CkptLog {
-                file: Mutex::new(file),
-                pool: BytePool::default(),
+                file: Mutex::new((file, Vec::new())),
             },
             restored,
         ))
@@ -825,7 +820,9 @@ impl CkptLog {
     fn append(&self, src: u32, frame: &Frame) {
         let (head, payload) = encode_parts(frame);
         let len = head.len() + payload.as_ref().map_or(0, |p| p.len());
-        let mut rec = self.pool.get();
+        let mut guard = self.file.lock().expect("checkpoint log poisoned");
+        let (file, rec) = &mut *guard;
+        rec.clear();
         rec.reserve(8 + len);
         rec.extend_from_slice(&src.to_le_bytes());
         rec.extend_from_slice(&(len as u32).to_le_bytes());
@@ -833,8 +830,7 @@ impl CkptLog {
         if let Some(p) = &payload {
             rec.extend_from_slice(p);
         }
-        let mut file = self.file.lock().expect("checkpoint log poisoned");
-        let _ = file.write_all(&rec);
+        let _ = file.write_all(rec);
     }
 }
 
@@ -916,7 +912,7 @@ enum OutputProgress {
     Prefix(usize),
 }
 
-fn coord_ingress(shared: &CoordShared, out: &[RingSender<NetMsg>], src: usize, msg: NetMsg) {
+fn coord_ingress(shared: &CoordShared, out: &[Sender<NetMsg>], src: usize, msg: NetMsg) {
     match msg {
         NetMsg::AckMark { transfer, mark } => {
             if shared.recovery_enabled {
@@ -1007,7 +1003,7 @@ fn coord_ingress(shared: &CoordShared, out: &[RingSender<NetMsg>], src: usize, m
     }
 }
 
-fn ack_to(shared: &CoordShared, out: &[RingSender<NetMsg>], src: usize, ack: NetMsg) {
+fn ack_to(shared: &CoordShared, out: &[Sender<NetMsg>], src: usize, ack: NetMsg) {
     if shared.recovery_enabled {
         if let Some(tx) = out.get(src) {
             let _ = tx.send(ack);
@@ -1029,7 +1025,7 @@ fn finish_output(shared: &CoordShared, req: u64, edge: EdgeId, payload: Bytes) {
     }
 }
 
-fn coord_reader(shared: Arc<CoordShared>, out: Vec<RingSender<NetMsg>>, mut stream: TcpStream) {
+fn coord_reader(shared: Arc<CoordShared>, out: Vec<Sender<NetMsg>>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
@@ -1079,10 +1075,10 @@ struct CoordCtl {
     /// Nodes declared permanently lost (relocated away, never pinged or
     /// restarted again). Swap-guarded so relocation runs exactly once.
     lost: Vec<AtomicBool>,
-    /// Senders into the per-worker link-agent rings. Behind a mutex so
+    /// Senders into the per-worker link-agent queues. Behind a mutex so
     /// shutdown can drop them (agent `recv` disconnect is the exit
     /// signal).
-    out: Mutex<Vec<RingSender<NetMsg>>>,
+    out: Mutex<Vec<Sender<NetMsg>>>,
     heartbeat_interval: Duration,
     miss_threshold: u32,
 }
@@ -1477,11 +1473,11 @@ impl TcpCluster {
         });
 
         let mut out = Vec::with_capacity(nodes);
-        let mut pump_out: Vec<Option<RingSender<NetMsg>>> = Vec::with_capacity(nodes);
+        let mut pump_out: Vec<Option<Sender<NetMsg>>> = Vec::with_capacity(nodes);
         let mut addrs = Vec::with_capacity(nodes);
         let mut agents = Vec::with_capacity(nodes);
         for (k, slot) in slots.iter().enumerate() {
-            let (tx, rx) = ring::<NetMsg>(cfg.link.queue_capacity);
+            let (tx, rx) = bounded::<NetMsg>(cfg.link.queue_capacity);
             pump_out.push(Some(tx.clone()));
             out.push(tx);
             let addr = Arc::new(AddrCell::new(Some(loopback(slot.port))));

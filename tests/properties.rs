@@ -773,6 +773,55 @@ fn bytes_slice_rejoins_byte_identical() {
     });
 }
 
+/// The sink is a map before it is a concurrent one: any sequential mix
+/// of `insert`/`remove`/`with`/`with_or_insert` over a small key space
+/// (so keys cluster inside a stripe's table) leaves it indistinguishable
+/// from `std::collections::HashMap` — same return values, same `len`,
+/// same contents under `fold` — for the single-lock and the 16-stripe
+/// shape alike.
+#[test]
+fn sharded_sink_matches_hashmap_model_sequentially() {
+    use dataflower_rt::ShardedSink;
+    use std::collections::HashMap;
+
+    check("sharded_sink_matches_hashmap_model_sequentially", |g| {
+        let stripes = if g.usize_in(0, 2) == 0 { 1 } else { 16 };
+        let sink: ShardedSink<u64> = ShardedSink::new(stripes);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        for step in 0..g.u64_in(200, 2_000) {
+            let key = g.u64_in(0, 64);
+            match g.usize_in(0, 4) {
+                0 => assert_eq!(sink.insert(key, step), model.insert(key, step), "insert"),
+                1 => assert_eq!(sink.remove(key), model.remove(&key), "remove"),
+                2 => {
+                    let bump = |v: Option<&mut u64>| {
+                        v.map(|v| {
+                            *v += 1;
+                            *v
+                        })
+                    };
+                    assert_eq!(sink.with(key, bump), bump(model.get_mut(&key)), "with");
+                }
+                _ => {
+                    let got = sink.with_or_insert(key, || step, |v| std::mem::replace(v, step));
+                    let want = std::mem::replace(model.entry(key).or_insert(step), step);
+                    assert_eq!(got, want, "with_or_insert");
+                }
+            }
+            assert_eq!(sink.len(), model.len(), "len after step {step}");
+            assert_eq!(sink.is_empty(), model.is_empty());
+        }
+        let mut seen = sink.fold(Vec::new(), |mut acc, k, v| {
+            acc.push((k, *v));
+            acc
+        });
+        seen.sort_unstable();
+        let mut want: Vec<(u64, u64)> = model.into_iter().collect();
+        want.sort_unstable();
+        assert_eq!(seen, want, "fold diverged from the model");
+    });
+}
+
 /// The lock-striped sink neither loses nor duplicates entries: random
 /// (often stripe-colliding) request ids inserted and taken by concurrent
 /// producers all come back exactly once, and janitor-style sweeps
@@ -1279,22 +1328,22 @@ fn wire_frames_roundtrip_over_loopback_tcp_in_random_splits() {
     );
 }
 
-/// The fabric's SPSC ring is FIFO with neither loss nor duplication for
-/// every capacity class (including non-power-of-two requests that round
-/// up) while a producer and a consumer race with randomized burst sizes:
-/// the consumer observes exactly the sequence `0..total`, in order.
+/// The fabric's link queue (`channel::bounded`) is FIFO with neither
+/// loss nor duplication for every capacity while a producer and a
+/// `try_drain`ing consumer race with randomized burst sizes: the
+/// consumer observes exactly the sequence `0..total`, in order.
 #[test]
-fn ring_is_fifo_lossless_and_dup_free_under_interleavings() {
-    use dataflower_rt::ring;
+fn link_queue_is_fifo_lossless_and_dup_free_under_interleavings() {
+    use dataflower_rt::channel;
 
     check(
-        "ring_is_fifo_lossless_and_dup_free_under_interleavings",
+        "link_queue_is_fifo_lossless_and_dup_free_under_interleavings",
         |g| {
-            let capacity = g.usize_in(1, 33); // rounds up to 1..=64 slots
+            let capacity = g.usize_in(1, 33);
             let total = g.u64_in(1, 2_000);
             let producer_burst = g.u64_in(1, 9);
             let consumer_burst = g.usize_in(1, 17);
-            let (tx, rx) = ring::ring::<u64>(capacity);
+            let (tx, rx) = channel::bounded::<u64>(capacity);
             let producer = std::thread::spawn(move || {
                 let mut sent = 0u64;
                 while sent < total {
@@ -1321,81 +1370,47 @@ fn ring_is_fifo_lossless_and_dup_free_under_interleavings() {
     );
 }
 
-/// Ring boundary semantics: a fresh ring reports empty-but-connected as
-/// `Ok(0)`, `send` never blocks below the rounded-up capacity and parks
-/// at exactly full until a pop frees a slot, and the disconnect error
-/// fires only once the tail is fully drained.
+/// Link-queue boundary semantics: a fresh queue reports
+/// empty-but-connected as `Ok(0)`, `send` never blocks below the exact
+/// requested capacity and parks at exactly full until a pop frees a
+/// slot, and the disconnect error fires only once the tail is fully
+/// drained.
 #[test]
-fn ring_full_empty_boundaries_hold_for_every_capacity() {
-    use dataflower_rt::ring;
+fn link_queue_full_empty_boundaries_hold_for_every_capacity() {
+    use dataflower_rt::channel;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
-    check("ring_full_empty_boundaries_hold_for_every_capacity", |g| {
-        let requested = g.usize_in(1, 20);
-        let cap = requested.next_power_of_two();
-        let (tx, rx) = ring::ring::<usize>(requested);
-        let mut buf = Vec::new();
-        assert_eq!(rx.try_drain(&mut buf, 8).expect("connected"), 0);
-        for i in 0..cap {
-            tx.send(i).expect("below capacity"); // must not block
-            assert_eq!(tx.len(), i + 1);
-        }
-        assert_eq!(rx.len(), cap);
-        // The next send must park until the consumer frees a slot: the
-        // ring cannot grow past capacity while it is pending.
-        let parked = std::thread::spawn(move || {
-            tx.send(cap).expect("receiver alive");
-            tx
-        });
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert_eq!(rx.len(), cap, "send overran a full ring");
-        assert_eq!(rx.try_drain(&mut buf, 1).expect("pop one"), 1);
-        drop(parked.join().expect("parked sender"));
-        // Sender gone but the tail remains: drains cleanly, then errors.
-        while let Ok(n) = rx.try_drain(&mut buf, 64) {
-            assert!(n > 0, "empty+disconnected must be Err");
-        }
-        assert!(buf.iter().copied().eq(0..=cap), "tail drain diverged");
-    });
-}
-
-/// The byte pool never hands out storage aliasing a live [`Bytes`]:
-/// buffers promoted via `into_bytes` keep their exact contents no matter
-/// how many later buffers are checked out, filled, recycled or promoted,
-/// and recycled checkouts always come back empty.
-#[test]
-fn pool_never_aliases_live_bytes() {
-    use dataflower_rt::{BytePool, Bytes};
-
-    check("pool_never_aliases_live_bytes", |g| {
-        let pool = BytePool::new(g.usize_in(1, 8), 1 << g.usize_in(4, 12));
-        let rounds = g.usize_in(1, 24);
-        let mut live: Vec<(u8, usize, Bytes)> = Vec::new();
-        for round in 0..rounds {
-            let mut checked_out = Vec::new();
-            for k in 0..g.usize_in(1, 5) {
-                let mut buf = pool.get();
-                assert!(buf.is_empty(), "pool returned a dirty buffer");
-                let fill = (round * 31 + k + 1) as u8;
-                let len = g.usize_in(1, 512);
-                buf.resize(len, fill);
-                checked_out.push((fill, len, buf));
+    check(
+        "link_queue_full_empty_boundaries_hold_for_every_capacity",
+        |g| {
+            let cap = g.usize_in(1, 20);
+            let (tx, rx) = channel::bounded::<usize>(cap);
+            let mut buf = Vec::new();
+            assert_eq!(rx.try_drain(&mut buf, 8).expect("connected"), 0);
+            for i in 0..cap {
+                tx.send(i).expect("below capacity"); // must not block
             }
-            for (fill, len, buf) in checked_out {
-                if g.usize_in(0, 2) == 0 {
-                    live.push((fill, len, buf.into_bytes()));
-                }
-                // else: dropped, storage back on the shelf
+            // The next send must park until the consumer frees a slot.
+            let sent = Arc::new(AtomicBool::new(false));
+            let parked = {
+                let sent = Arc::clone(&sent);
+                std::thread::spawn(move || {
+                    tx.send(cap).expect("receiver alive");
+                    sent.store(true, Ordering::SeqCst);
+                })
+            };
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            assert!(!sent.load(Ordering::SeqCst), "send overran a full queue");
+            assert_eq!(rx.try_drain(&mut buf, 1).expect("pop one"), 1);
+            parked.join().expect("parked sender");
+            // Sender gone but the tail remains: drains cleanly, then errors.
+            while let Ok(n) = rx.try_drain(&mut buf, 64) {
+                assert!(n > 0, "empty+disconnected must be Err");
             }
-            // Every promoted Bytes still reads back its own pattern.
-            for (fill, len, bytes) in &live {
-                assert_eq!(bytes.len(), *len, "live Bytes changed length");
-                assert!(
-                    bytes.iter().all(|b| b == fill),
-                    "live Bytes were overwritten by pool reuse"
-                );
-            }
-        }
-    });
+            assert!(buf.iter().copied().eq(0..=cap), "tail drain diverged");
+        },
+    );
 }
 
 /// Every task submitted to the work-stealing scheduler runs exactly
