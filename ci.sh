@@ -18,6 +18,12 @@
 #  10. diff-fuzz smoke gate     (seeded random workflow DAGs run through
 #      the live cluster with trace recording on, then replayed in the
 #      simulator; the two decision streams must match exactly)
+#  11. TCP path gate            (the two-media client-contract test, the
+#      benchmark harness's own unit tests, and one quick
+#      `fanout_small_tcp` benchmark run, which exits 1 on any response
+#      that differs from its reference — so a change behind the
+#      benchmark's pinned API that breaks the TCP path fails here, not
+#      only in the benchmark pipeline)
 #
 # Steps 3-4 are the exact commands of the CI `lint` job and step 7 is the
 # exact command of the CI `bench-smoke` job, so local and CI gates match.
@@ -107,6 +113,14 @@ if [ "${SKIP_FUZZ_GATE:-0}" != 1 ]; then
 else
     echo "==> SKIP_FUZZ_GATE=1; diff-fuzz gate runs in the diff-fuzz job"
 fi
+
+# TCP path gate: the same client contract over both media (release, as
+# the socket-smoke job runs it), the benchmark package's unit tests (it
+# is its own workspace, so `--workspace` above does not reach it), and a
+# quick end-to-end benchmark run over worker processes and TCP links.
+run cargo test -p dataflower-workloads --release --test two_media
+run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+run benchmark/run.sh --workload fanout_small_tcp --quick
 
 if [ "$failures" -ne 0 ]; then
     echo "ci.sh: $failures check(s) failed" >&2

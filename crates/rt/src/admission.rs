@@ -12,10 +12,11 @@
 //! others.
 //!
 //! [`ClusterRuntime::try_invoke`](crate::ClusterRuntime::try_invoke) is
-//! the gated ingress of the in-process runtime. The gate is also usable
-//! standalone on the client side of a connection-oriented transport
-//! (the load harness fronts [`TcpCluster`](crate::TcpCluster) with one),
-//! which is why its methods are public rather than runtime-internal.
+//! the gated ingress of the in-process runtime and
+//! [`TcpCluster::try_invoke`](crate::TcpCluster::try_invoke) the same
+//! code at the coordinator of a worker-process cluster. The gate is also
+//! usable standalone in front of any other client, which is why its
+//! methods are public rather than runtime-internal.
 //!
 //! # Examples
 //!

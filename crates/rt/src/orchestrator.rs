@@ -20,9 +20,10 @@
 //! [`ClusterRuntime::migrate_function`] reuses the exact same rehome
 //! machinery voluntarily: drain, move state, re-patch links, resume.
 //!
-//! The TCP half (coordinator pings over the control channel, a
-//! `relocate` broadcast) lives in `transport.rs` and shares the
-//! counters and config knobs defined here.
+//! Over TCP, *detecting* a loss and *deciding* the new placement still
+//! live in `transport.rs` (coordinator pings over the control channel, a
+//! `relocate` broadcast); the data recovery — `rehome_retention` — is
+//! this module's code on both media.
 //!
 //! [`NodeState::last_beat`]: crate::node::NodeState
 //! [`ClusterRtConfig::heartbeat_miss_threshold`]: crate::ClusterRtConfig::heartbeat_miss_threshold
@@ -39,8 +40,8 @@ use dataflower_workflow::{EdgeId, Endpoint, FnId};
 use crate::error::RtError;
 use crate::node::{NodeReqState, SinkEntry};
 use crate::runtime::{
-    handle_net_msg, node_pressure_of, refresh_scheduler_active, resolve_active, retention_of,
-    seed_req_state, stride, submit_invoke, ClusterRuntime, Inner,
+    account_replay, emit, node_pressure_of, refresh_scheduler_active, resolve_active, retention_of,
+    retention_sources, seed_req_state, submit_invoke, ClusterRuntime, Inner,
 };
 use crate::trace::EventKind as TraceEventKind;
 
@@ -220,7 +221,7 @@ pub(crate) fn rehome_functions(inner: &Arc<Inner>, from: usize, moves: &[(String
     //    replay them toward the new hosts, resuming from each stream's
     //    last acked checkpoint mark (the moved sink state holds the
     //    bytes below it).
-    move_retention(inner, from);
+    rehome_retention(inner, from);
 }
 
 /// Drains `name`'s in-flight invocations (a bounded wait on the live
@@ -446,18 +447,26 @@ fn merge_fn_state(
     None
 }
 
-/// Re-homes every sender's retention window still pointing at `from`
-/// onto the link toward each transfer's *current* destination node, and
-/// replays the moved transfers. The moved sink state holds everything
-/// below each stream's acked mark, so the replay resumes from the mark
-/// — the §6.2 protocol, now across a placement change.
-pub(crate) fn move_retention(inner: &Arc<Inner>, from: usize) {
-    if !inner.cfg.recovery.enabled || inner.wire.is_some() {
-        return;
+/// Re-homes every retained transfer this process still holds **toward**
+/// `from` — a node whose functions moved away — onto the link toward its
+/// target function's *current* node per the live placement, and replays
+/// it there. Returns the number of transfers re-homed.
+///
+/// Where the replay starts depends on whether the receiver's sink state
+/// could move with the function. In-process it did (`move_sink_state`
+/// holds everything below each stream's acked mark), so the replay
+/// resumes from the mark — the §6.2 protocol across a placement change.
+/// Over the wire the old host was a process that no longer exists, its
+/// sink and checkpoint log died with it, so every transfer is re-sent
+/// from byte 0; receivers dedup re-fired duplicates by edge.
+pub(crate) fn rehome_retention(inner: &Inner, from: usize) -> usize {
+    if !inner.cfg.recovery.enabled {
+        return 0;
     }
     let wf = &inner.workflow;
-    let n = stride(inner);
-    for src in 0..n {
+    let from_zero = inner.wire.is_some();
+    let mut count = 0;
+    for src in retention_sources(inner) {
         if src == from {
             continue;
         }
@@ -465,66 +474,39 @@ pub(crate) fn move_retention(inner: &Arc<Inner>, from: usize) {
             .lock()
             .expect("retention lock poisoned")
             .extract(|_| true);
-        if moved.is_empty() {
-            continue;
-        }
         // Group by current destination, adopt, then replay exactly the
         // adopted ids on each link.
         let mut by_dst: HashMap<usize, Vec<u64>> = HashMap::new();
         for (id, t) in moved {
             let dst = match wf.edge(t.edge).target {
                 Endpoint::Function(tf) => inner.node_of(&wf.function(tf).name),
+                // Client outputs are never retained toward a node.
                 Endpoint::Client => continue,
             };
-            if dst == from {
-                // Still placed on the lost node (no survivor inherited
-                // it): drop the entry back where it was; a later sweep
-                // re-homes it once the placement moved.
-                retention_of(inner, src, from)
-                    .lock()
-                    .expect("retention lock poisoned")
-                    .adopt(id, t, false);
-                continue;
-            }
+            // Still placed on the lost node (no survivor inherited it
+            // yet): park the entry back untouched; a later sweep re-homes
+            // it once the placement moved.
+            let rehomed = dst != from;
             retention_of(inner, src, dst)
                 .lock()
                 .expect("retention lock poisoned")
-                .adopt(id, t, false);
-            by_dst.entry(dst).or_default().push(id);
+                .adopt(id, t, rehomed && from_zero);
+            if rehomed {
+                by_dst.entry(dst).or_default().push(id);
+                count += 1;
+            }
         }
         for (dst, ids) in by_dst {
             let summary = retention_of(inner, src, dst)
                 .lock()
                 .expect("retention lock poisoned")
                 .replay_ids(Instant::now(), &ids);
-            inner
-                .counters
-                .recovered_transfers
-                .fetch_add(summary.transfers, Ordering::Relaxed);
-            inner
-                .counters
-                .resumed_from_mark
-                .fetch_add(summary.resumed_from_mark_bytes, Ordering::Relaxed);
-            for msg in summary.frames {
-                inner
-                    .counters
-                    .replayed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                inner
-                    .counters
-                    .replayed_bytes
-                    .fetch_add(msg.wire_bytes() as u64, Ordering::Relaxed);
-                handle_net_msg(inner, src, dst, msg);
+            for msg in account_replay(inner, summary, false) {
+                emit(inner, src, dst, msg);
             }
         }
     }
-}
-
-/// Recovery-daemon sweep for a lost node: retention that still points at
-/// it (a send raced the relocation) is re-homed per the live placement
-/// and replayed. Idempotent and cheap when nothing is left.
-pub(crate) fn sweep_lost_node_retention(inner: &Arc<Inner>, lost: usize) {
-    move_retention(inner, lost);
+    count
 }
 
 impl ClusterRuntime {

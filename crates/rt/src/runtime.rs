@@ -23,7 +23,13 @@
 //! * cross-node traffic flows over the in-process **fabric**: one
 //!   bounded queue ([`channel::bounded`](crate::channel::bounded)) plus
 //!   shipper thread per directed node pair, with optional
-//!   bandwidth/latency shaping ([`LinkConfig`]);
+//!   bandwidth/latency shaping ([`LinkConfig`]) — or, in *wire mode*
+//!   (`ClusterRuntimeBuilder::start_wire`), over TCP: this process is then
+//!   one endpoint of a multi-process cluster (a worker node, or the
+//!   client endpoint the coordinator embeds), the same queues are drained
+//!   by the [`transport`](crate::transport) module's link agents, and
+//!   everything else in this file runs unchanged on both sides of the
+//!   socket;
 //! * one runtime-wide **janitor thread** passively expires sink entries
 //!   past their TTL (counting them as spilled to disk).
 //!
@@ -58,7 +64,7 @@ use crate::bytes::Bytes;
 use crate::channel::{bounded, Receiver, Sender};
 use crate::context::{FluContext, PutTarget};
 use crate::error::RtError;
-use crate::fabric::{chunk_spans, spawn_link, LinkConfig, LinkRetention, NetMsg};
+use crate::fabric::{chunk_spans, spawn_link, LinkConfig, LinkRetention, NetMsg, ReplaySummary};
 use crate::fault::{FaultPlan, FaultState, FrameFate};
 use crate::node::{NodeReqState, NodeRuntime, NodeState, Placement, PlacementPolicy, SinkEntry};
 use crate::orchestrator;
@@ -427,6 +433,10 @@ struct ClientReqState {
     outputs_missing: usize,
     outputs: Vec<(String, Bytes)>,
     errors: Vec<String>,
+    /// Client-output edges already collected. A restarted worker's log
+    /// replay re-fires its functions and re-ships their outputs, so
+    /// arrival is deduplicated per edge for byte-identical results.
+    delivered: HashSet<EdgeId>,
 }
 
 #[derive(Default)]
@@ -507,27 +517,52 @@ impl Counters {
     }
 }
 
-/// Wire-mode (worker-process) state of an [`Inner`]: present only when
-/// the runtime was started by [`ClusterRuntimeBuilder::start_worker`],
-/// i.e. this OS process embodies exactly one node of a TCP cluster.
+/// Wire-mode state of an [`Inner`]: present only when the runtime was
+/// started by [`ClusterRuntimeBuilder::start_wire`], i.e. this OS process
+/// is one endpoint of a TCP cluster.
 ///
-/// The endpoint space is `node_count + 1`: every worker node plus the
-/// coordinator process (always the **last** index), which plays the
-/// client — it ships inputs in and collects outputs shipped back out.
-/// `link_depth` and `retention` are indexed `src * endpoints + dst` in
-/// this mode (see [`stride`]).
+/// The endpoint space is every worker node plus the **client** endpoint
+/// (always the last index): the coordinator process, which ships request
+/// inputs in and collects the outputs shipped back out. `Inner::nodes`,
+/// `link_depth` and `retention` cover the whole endpoint space in this
+/// mode, so the client is addressed like any node.
 pub(crate) struct WireState {
-    /// The endpoint this process embodies (a node index).
+    /// The endpoint this process embodies: a node index in a worker,
+    /// `client` in the coordinator.
     pub(crate) local: usize,
-    /// Total endpoints: worker nodes plus the trailing coordinator.
-    pub(crate) endpoints: usize,
-    /// Outbound frame queues, one per remote endpoint (`None` at
-    /// `local`). The transport's per-link agents drain them onto TCP.
-    pub(crate) out: Vec<Option<Sender<NetMsg>>>,
-    /// Requests the coordinator already collected or abandoned: late
-    /// frames for them must not re-seed sink state (they are orphans,
-    /// acked away so the sender's retention cannot leak).
-    pub(crate) purged: Mutex<HashSet<u64>>,
+    /// The client endpoint's index (the last one).
+    pub(crate) client: usize,
+    /// Requests the client already collected or abandoned: late frames
+    /// for them must not re-seed sink state (they are orphans, acked away
+    /// so the sender's retention cannot leak).
+    pub(crate) purged: Mutex<PurgedSet>,
+}
+
+/// The set of purged request ids. Ids are minted densely by the client's
+/// one counter and purged roughly in order, so the set is a low watermark
+/// (every id below it is purged) plus the sparse ids purged ahead of it —
+/// resident entries are bounded by the out-of-order window, not by the
+/// number of requests ever served.
+#[derive(Default)]
+pub(crate) struct PurgedSet {
+    below: u64,
+    ahead: HashSet<u64>,
+}
+
+impl PurgedSet {
+    pub(crate) fn insert(&mut self, req: u64) {
+        if req < self.below {
+            return;
+        }
+        self.ahead.insert(req);
+        while self.ahead.remove(&self.below) {
+            self.below += 1;
+        }
+    }
+
+    pub(crate) fn contains(&self, req: u64) -> bool {
+        req < self.below || self.ahead.contains(&req)
+    }
 }
 
 pub(crate) struct Inner {
@@ -553,11 +588,14 @@ pub(crate) struct Inner {
     /// Per-node merged DLU ingress: one daemon per node routes every
     /// hosted function's puts. `signal_shutdown` clears the senders so
     /// each daemon observes disconnect once in-flight invocations drop
-    /// their clones. In wire mode only the local node's entry is
-    /// `Some`.
+    /// their clones. In wire mode only the local node's entry is `Some`
+    /// (none at the client endpoint).
     pub(crate) dlu_tx: RwLock<Vec<Option<Sender<DluMsg>>>>,
     reqs: Mutex<HashMap<u64, ClientReqState>>,
     done: Condvar,
+    /// One state per endpoint: every worker node, plus — in wire mode —
+    /// the trailing client endpoint, whose sink only ever holds the
+    /// reassembly buffers of chunked client outputs.
     pub(crate) nodes: Vec<Arc<NodeState>>,
     pub(crate) counters: Counters,
     /// Ingress admission gate (caps from `cfg.admission`); only
@@ -583,8 +621,7 @@ pub(crate) struct Inner {
     /// relative to this).
     pub(crate) started: Instant,
     /// Queue-depth gauge of each directed fabric link, indexed
-    /// `src * stride + dst` (self-links stay zero); the stride is the
-    /// node count in-process and the endpoint count in wire mode.
+    /// `src * nodes.len() + dst` (self-links stay zero).
     pub(crate) link_depth: Vec<Arc<AtomicUsize>>,
     /// Fault-injection state (`None` for a no-op plan: the per-frame
     /// cost of disabled fault injection is one `Option` check).
@@ -592,11 +629,13 @@ pub(crate) struct Inner {
     /// Sender-side §6.2 retention of un-acked frames, one per directed
     /// link, indexed like `link_depth`. Empty when recovery is disabled.
     pub(crate) retention: Vec<Mutex<LinkRetention>>,
-    /// Worker-process wire state; `None` for the in-process fabric.
+    /// Wire state of a TCP-cluster endpoint; `None` for the in-process
+    /// fabric.
     pub(crate) wire: Option<WireState>,
-    /// Outbound link rows, one per source node (wire mode: every entry is
-    /// the same outbound wire row). Routing looks its row up per put via
-    /// the *live* placement, which is what makes DLU daemons
+    /// Outbound link rows, one per source endpoint (wire mode: every
+    /// entry is this process's one outbound row, whose queues the
+    /// transport's link agents drain onto TCP). Routing looks its row up
+    /// per put via the *live* placement, which is what makes DLU daemons
     /// location-transparent: after a migration the same daemon ships from
     /// the function's new node. Cleared by `signal_shutdown` so the link
     /// shippers observe sender disconnect and exit.
@@ -659,14 +698,9 @@ impl Inner {
 /// clone.
 pub(crate) type LinkRow = Arc<Vec<Option<Sender<NetMsg>>>>;
 
-/// Row stride of the directed-link vectors (`link_depth`, `retention`):
-/// the node count for the in-process fabric, the endpoint count (nodes
-/// plus coordinator) in worker-process wire mode.
-pub(crate) fn stride(inner: &Inner) -> usize {
-    inner
-        .wire
-        .as_ref()
-        .map_or(inner.nodes.len(), |w| w.endpoints)
+/// The queue-depth gauge of the directed link `src → dst`.
+pub(crate) fn depth_of(inner: &Inner, src: usize, dst: usize) -> &AtomicUsize {
+    &inner.link_depth[src * inner.nodes.len() + dst]
 }
 
 type Body = Arc<dyn Fn(&mut FluContext) + Send + Sync>;
@@ -724,10 +758,10 @@ pub struct ClusterRuntimeBuilder {
     record_trace: bool,
 }
 
-/// What [`ClusterRuntimeBuilder::start_worker`] hands the transport: the
+/// What [`ClusterRuntimeBuilder::start_wire`] hands the transport: the
 /// local runtime plus one outbound frame receiver per directed link this
-/// node sends on (`None` elsewhere).
-pub(crate) type WorkerStart = (ClusterRuntime, Vec<Option<Receiver<NetMsg>>>);
+/// endpoint sends on (`None` at its own index).
+pub(crate) type WireStart = (ClusterRuntime, Vec<Option<Receiver<NetMsg>>>);
 
 impl ClusterRuntimeBuilder {
     /// Starts building a runtime for `workflow` (single-node placement
@@ -820,32 +854,67 @@ impl ClusterRuntimeBuilder {
     /// the fault plan is invalid (rates outside `[0, 1]`, a kill naming
     /// a node outside the placement's topology).
     pub fn start(self) -> Result<ClusterRuntime, RtError> {
-        self.validate()?;
+        self.start_as(None).map(|(rt, _)| rt)
+    }
+
+    /// Wire-mode variant of [`ClusterRuntimeBuilder::start`]: this OS
+    /// process becomes the one endpoint `spec.local` of a TCP cluster — a
+    /// worker node, or the trailing client endpoint (the coordinator,
+    /// which registers no bodies and runs no node threads). The full
+    /// cluster bookkeeping is built over the **endpoint** space (nodes
+    /// plus the client), but executor / DLU / janitor / autoscaler
+    /// threads are spawned only for the local node, and instead of
+    /// in-process shippers the outbound frame queues' receivers are
+    /// returned so the TCP transport can attach one link agent per
+    /// directed link. Transfer ids are namespaced by `spec.epoch` so a
+    /// restarted worker can never collide with ids from its previous
+    /// incarnation.
+    pub(crate) fn start_wire(self, spec: WireSpec) -> Result<WireStart, RtError> {
         let node_count = self.placement.node_count();
+        assert!(
+            spec.local <= node_count,
+            "endpoint index {} outside the {node_count}-node topology",
+            spec.local
+        );
+        self.start_as(Some(spec))
+    }
+
+    /// The one place a runtime is put together, for the in-process
+    /// cluster (`wire == None`), a worker process and the client endpoint
+    /// alike.
+    fn start_as(self, wire: Option<WireSpec>) -> Result<WireStart, RtError> {
+        let node_count = self.placement.node_count();
+        // The client endpoint (the index past the last node) hosts no
+        // functions, so it needs no bodies and runs no node threads.
+        let is_client = wire.is_some_and(|w| w.local == node_count);
+        self.validate(!is_client)?;
+        let endpoints = node_count + usize::from(wire.is_some());
         let (scale, initial_replicas) = self.pool_gauges();
         let scheds: Vec<NodeScheduler> = (0..node_count)
             .map(|n| self.node_scheduler(n, &initial_replicas))
             .collect();
+        // A DLU ingress per node this process runs: every node
+        // in-process, only the local one in a worker (frames for remote
+        // functions never queue here, they ride the wire).
         let mut dlu_tx: Vec<Option<Sender<DluMsg>>> = Vec::with_capacity(node_count);
         let mut dlu_rx: Vec<Option<Receiver<DluMsg>>> = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let (tx, rx) = bounded::<DluMsg>(self.cfg.rt.dlu_queue_capacity);
-            dlu_tx.push(Some(tx));
-            dlu_rx.push(Some(rx));
+        for n in 0..node_count {
+            let (tx, rx) = if wire.map_or(true, |w| w.local == n) {
+                let (tx, rx) = bounded::<DluMsg>(self.cfg.rt.dlu_queue_capacity);
+                (Some(tx), Some(rx))
+            } else {
+                (None, None)
+            };
+            dlu_tx.push(tx);
+            dlu_rx.push(rx);
         }
-        let node_states: Vec<Arc<NodeState>> = (0..node_count)
-            .map(|_| Arc::new(NodeState::new()))
-            .collect();
-        let link_depth: Vec<Arc<AtomicUsize>> = (0..node_count * node_count)
-            .map(|_| Arc::new(AtomicUsize::new(0)))
-            .collect();
         let faults = if self.cfg.faults.is_noop() {
             None
         } else {
             Some(FaultState::new(self.cfg.faults.clone()))
         };
         let retention: Vec<Mutex<LinkRetention>> = if self.cfg.recovery.enabled {
-            (0..node_count * node_count)
+            (0..endpoints * endpoints)
                 .map(|_| {
                     let mut r = LinkRetention::default();
                     // Orchestrator mode: keep acked transfers replayable
@@ -869,23 +938,30 @@ impl ClusterRuntimeBuilder {
             dlu_tx: RwLock::new(dlu_tx),
             reqs: Mutex::new(HashMap::new()),
             done: Condvar::new(),
-            nodes: node_states,
+            nodes: (0..endpoints).map(|_| Arc::new(NodeState::new())).collect(),
             counters: Counters::default(),
             gate: AdmissionGate::new(self.cfg.admission),
             shutdown: Arc::new(AtomicBool::new(false)),
             shutdown_mx: Mutex::new(()),
             shutdown_cv: Condvar::new(),
-            next_transfer: AtomicU64::new(0),
+            next_transfer: AtomicU64::new(wire.map_or(0, |w| transfer_base(w.local, w.epoch))),
             scale,
             initial_replicas,
             scale_events: Mutex::new(Vec::new()),
             started: Instant::now(),
-            link_depth,
+            link_depth: (0..endpoints * endpoints)
+                .map(|_| Arc::new(AtomicUsize::new(0)))
+                .collect(),
             faults,
             retention,
-            wire: None,
+            wire: wire.map(|w| WireState {
+                local: w.local,
+                client: node_count,
+                purged: Mutex::new(PurgedSet::default()),
+            }),
             links: RwLock::new(Vec::new()),
-            recorder: self.record_trace.then(|| Arc::new(TraceRecorder::new())),
+            // In-process fabric only: a wire endpoint records nothing.
+            recorder: (self.record_trace && wire.is_none()).then(|| Arc::new(TraceRecorder::new())),
         });
 
         // Trace preamble: everything `trace::replay` needs to rebuild
@@ -909,36 +985,58 @@ impl ClusterRuntimeBuilder {
             }
         }
 
-        // Fabric: one bounded queue + shipper thread per directed
-        // node pair (the node's single merged DLU daemon is the one
-        // producer). The rows live in `Inner.links` (the live routing
+        // Fabric: one bounded queue per directed link. In-process each
+        // gets a shipper thread handing frames to the destination node's
+        // ingress; in wire mode this endpoint's one outbound row serves
+        // every source index and the receivers go to the transport's
+        // link agents. The rows live in `Inner.links` (the live routing
         // table); `signal_shutdown` clears them, which is what cascades
-        // into shipper exit at teardown.
+        // into shipper/agent exit at teardown.
         let mut fabric_threads = Vec::new();
-        let mut links_by_src: Vec<Arc<Vec<Option<Sender<NetMsg>>>>> = Vec::new();
-        for src in 0..node_count {
-            let mut row: Vec<Option<Sender<NetMsg>>> = Vec::with_capacity(node_count);
-            for dst in 0..node_count {
-                if src == dst {
-                    row.push(None);
-                    continue;
+        let mut out_rx: Vec<Option<Receiver<NetMsg>>> = Vec::new();
+        let mut rows: Vec<LinkRow> = Vec::with_capacity(endpoints);
+        match wire {
+            None => {
+                for src in 0..node_count {
+                    let mut row = Vec::with_capacity(node_count);
+                    for dst in 0..node_count {
+                        if src == dst {
+                            row.push(None);
+                            continue;
+                        }
+                        let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
+                        let ingress_inner = Arc::clone(&inner);
+                        fabric_threads.push(spawn_link(
+                            src,
+                            dst,
+                            self.cfg.link.clone(),
+                            rx,
+                            Arc::new(move |msg| chaos_ingress(&ingress_inner, src, dst, msg)),
+                            Arc::clone(&inner.shutdown),
+                            Arc::clone(&inner.link_depth[src * node_count + dst]),
+                        ));
+                        row.push(Some(tx));
+                    }
+                    rows.push(Arc::new(row));
                 }
-                let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
-                let ingress_inner = Arc::clone(&inner);
-                fabric_threads.push(spawn_link(
-                    src,
-                    dst,
-                    self.cfg.link.clone(),
-                    rx,
-                    Arc::new(move |msg| chaos_ingress(&ingress_inner, src, dst, msg)),
-                    Arc::clone(&inner.shutdown),
-                    Arc::clone(&inner.link_depth[src * node_count + dst]),
-                ));
-                row.push(Some(tx));
             }
-            links_by_src.push(Arc::new(row));
+            Some(w) => {
+                let mut row = Vec::with_capacity(endpoints);
+                for dst in 0..endpoints {
+                    let (tx, rx) = if dst == w.local {
+                        (None, None)
+                    } else {
+                        let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
+                        (Some(tx), Some(rx))
+                    };
+                    row.push(tx);
+                    out_rx.push(rx);
+                }
+                let row = Arc::new(row);
+                rows = vec![row; endpoints];
+            }
         }
-        *inner.links.write().expect("links lock poisoned") = links_by_src;
+        *inner.links.write().expect("links lock poisoned") = rows;
 
         // Recovery daemon: executes fault-plan restarts and retransmits
         // stale un-acked transfers. Only needed when something can go
@@ -955,8 +1053,9 @@ impl ClusterRuntimeBuilder {
 
         // Orchestrator controller (the ε-CON analog): watches every
         // node's heartbeat and relocates the functions of a node that
-        // stops beating.
-        if self.cfg.orchestrator {
+        // stops beating. Over TCP the coordinator pings its workers
+        // through the control channel instead.
+        if self.cfg.orchestrator && wire.is_none() {
             let ctl_inner = Arc::clone(&inner);
             fabric_threads.push(
                 std::thread::Builder::new()
@@ -966,16 +1065,18 @@ impl ClusterRuntimeBuilder {
             );
         }
 
-        // Nodes: one merged DLU daemon each (FLU workers spawn lazily
-        // inside the node schedulers on first submit).
-        let mut nodes = Vec::new();
-        for (node_id, rx) in dlu_rx.into_iter().enumerate() {
-            nodes.push(self.spawn_node(&inner, node_id, rx));
-        }
+        // Nodes: one merged DLU daemon per node this process runs (FLU
+        // workers spawn lazily inside the node schedulers on first
+        // submit); the others are bookkeeping only.
+        let nodes: Vec<NodeRuntime> = dlu_rx
+            .into_iter()
+            .enumerate()
+            .map(|(node_id, rx)| self.spawn_node(&inner, node_id, rx))
+            .collect();
 
         // Runtime-wide autoscaler: one thread samples every function's
         // pressure and resizes the hosting nodes' active-slot windows.
-        if self.cfg.autoscale.enabled {
+        if self.cfg.autoscale.enabled && !is_client {
             let scaler_inner = Arc::clone(&inner);
             fabric_threads.push(
                 std::thread::Builder::new()
@@ -985,169 +1086,9 @@ impl ClusterRuntimeBuilder {
             );
         }
         // Runtime-wide janitor for passive expire across every node.
-        if let Some(ttl) = self.cfg.rt.sink_ttl {
+        if let Some(ttl) = self.cfg.rt.sink_ttl.filter(|_| !is_client) {
             let janitor_inner = Arc::clone(&inner);
             fabric_threads.push(
-                std::thread::Builder::new()
-                    .name("janitor".into())
-                    .spawn(move || janitor(janitor_inner, ttl))
-                    .expect("spawn janitor"),
-            );
-        }
-
-        Ok(ClusterRuntime {
-            inner,
-            nodes,
-            fabric_threads,
-            next_req: AtomicU64::new(0),
-        })
-    }
-
-    /// Worker-process variant of [`ClusterRuntimeBuilder::start`]: builds
-    /// the full cluster bookkeeping (every node's sink vector, placement,
-    /// per-directed-link retention windows over the **endpoint** space —
-    /// nodes plus the trailing coordinator) but spawns executor / DLU /
-    /// janitor / autoscaler threads only for `spec.local`, the one node
-    /// this OS process embodies. No in-process fabric and no recovery
-    /// daemon are spawned; the outbound frame queues land in
-    /// [`WireState`] and their receivers are returned so the TCP
-    /// transport can attach one shipping agent per directed link
-    /// (retransmission of ack-stale transfers is the transport's job
-    /// too). Transfer ids are namespaced by `spec.epoch` so a restarted
-    /// worker can never collide with ids from its previous incarnation.
-    pub(crate) fn start_worker(self, spec: WireSpec) -> Result<WorkerStart, RtError> {
-        self.validate()?;
-        let node_count = self.placement.node_count();
-        assert!(
-            spec.local < node_count,
-            "worker index {} outside the {node_count}-node topology",
-            spec.local
-        );
-        let endpoints = node_count + 1;
-        let (scale, initial_replicas) = self.pool_gauges();
-        let scheds: Vec<NodeScheduler> = (0..node_count)
-            .map(|n| self.node_scheduler(n, &initial_replicas))
-            .collect();
-        // Only the local node gets a DLU ingress: frames for remote
-        // functions never queue here, they ride the wire.
-        let mut dlu_tx: Vec<Option<Sender<DluMsg>>> = (0..node_count).map(|_| None).collect();
-        let (local_dlu_tx, local_dlu_rx) = bounded::<DluMsg>(self.cfg.rt.dlu_queue_capacity);
-        dlu_tx[spec.local] = Some(local_dlu_tx);
-        let node_states: Vec<Arc<NodeState>> = (0..node_count)
-            .map(|_| Arc::new(NodeState::new()))
-            .collect();
-        let link_depth: Vec<Arc<AtomicUsize>> = (0..endpoints * endpoints)
-            .map(|_| Arc::new(AtomicUsize::new(0)))
-            .collect();
-        let faults = if self.cfg.faults.is_noop() {
-            None
-        } else {
-            Some(FaultState::new(self.cfg.faults.clone()))
-        };
-        let retention: Vec<Mutex<LinkRetention>> = if self.cfg.recovery.enabled {
-            (0..endpoints * endpoints)
-                .map(|_| {
-                    let mut r = LinkRetention::default();
-                    // Orchestrator wire mode: a relocated function lands
-                    // on a node holding none of its bytes, so completed
-                    // transfers must stay replayable until their request
-                    // is purged.
-                    r.set_retain_acked(self.cfg.orchestrator);
-                    Mutex::new(r)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut out: Vec<Option<Sender<NetMsg>>> = Vec::with_capacity(endpoints);
-        let mut out_rx: Vec<Option<Receiver<NetMsg>>> = Vec::with_capacity(endpoints);
-        for dst in 0..endpoints {
-            if dst == spec.local {
-                out.push(None);
-                out_rx.push(None);
-            } else {
-                let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
-                out.push(Some(tx));
-                out_rx.push(Some(rx));
-            }
-        }
-        let inner = Arc::new_cyclic(|me| Inner {
-            workflow: Arc::clone(&self.workflow),
-            cfg: self.cfg.clone(),
-            placement: RwLock::new(self.placement.clone()),
-            policy: self.policy.clone(),
-            me: me.clone(),
-            scheds,
-            bodies: self.bodies.clone(),
-            dlu_tx: RwLock::new(dlu_tx),
-            reqs: Mutex::new(HashMap::new()),
-            done: Condvar::new(),
-            nodes: node_states,
-            counters: Counters::default(),
-            gate: AdmissionGate::new(self.cfg.admission),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            shutdown_mx: Mutex::new(()),
-            shutdown_cv: Condvar::new(),
-            next_transfer: AtomicU64::new(worker_transfer_base(spec.local, spec.epoch)),
-            scale,
-            initial_replicas,
-            scale_events: Mutex::new(Vec::new()),
-            started: Instant::now(),
-            link_depth,
-            faults,
-            retention,
-            wire: Some(WireState {
-                local: spec.local,
-                endpoints,
-                out,
-                purged: Mutex::new(HashSet::new()),
-            }),
-            links: RwLock::new(Vec::new()),
-            recorder: None,
-        });
-
-        // Only the local node runs threads; its DLU daemons route over
-        // the wire's outbound queues instead of in-process links. Every
-        // source node maps to the same outbound wire row.
-        let wire_row = Arc::new(
-            inner
-                .wire
-                .as_ref()
-                .expect("wire state just built")
-                .out
-                .clone(),
-        );
-        *inner.links.write().expect("links lock poisoned") =
-            vec![Arc::clone(&wire_row); node_count];
-        drop(wire_row);
-        let mut nodes = Vec::new();
-        for node_id in 0..node_count {
-            if node_id == spec.local {
-                nodes.push(self.spawn_node(&inner, node_id, Some(local_dlu_rx.clone())));
-            } else {
-                nodes.push(NodeRuntime {
-                    id: node_id,
-                    functions: self.hosted_on(node_id),
-                    state: Arc::clone(&inner.nodes[node_id]),
-                    threads: Vec::new(),
-                });
-            }
-        }
-        drop(local_dlu_rx);
-        // The worker's autoscaler and janitor ride on the local node's
-        // thread set (there is no fabric thread vector in wire mode).
-        if self.cfg.autoscale.enabled {
-            let scaler_inner = Arc::clone(&inner);
-            nodes[spec.local].threads.push(
-                std::thread::Builder::new()
-                    .name("autoscaler".into())
-                    .spawn(move || autoscaler(scaler_inner))
-                    .expect("spawn autoscaler"),
-            );
-        }
-        if let Some(ttl) = self.cfg.rt.sink_ttl {
-            let janitor_inner = Arc::clone(&inner);
-            nodes[spec.local].threads.push(
                 std::thread::Builder::new()
                     .name("janitor".into())
                     .spawn(move || janitor(janitor_inner, ttl))
@@ -1159,17 +1100,18 @@ impl ClusterRuntimeBuilder {
             ClusterRuntime {
                 inner,
                 nodes,
-                fabric_threads: Vec::new(),
+                fabric_threads,
                 next_req: AtomicU64::new(0),
             },
             out_rx,
         ))
     }
 
-    /// Shared validation of [`ClusterRuntimeBuilder::start`] and
-    /// [`ClusterRuntimeBuilder::start_worker`] (see `start`'s docs for
-    /// the panic and error contract).
-    fn validate(&self) -> Result<(), RtError> {
+    /// Validation shared by every start path (see
+    /// [`ClusterRuntimeBuilder::start`]'s docs for the panic and error
+    /// contract). The client endpoint of a TCP cluster hosts no
+    /// functions, so it alone starts without `bodies`.
+    fn validate(&self, bodies: bool) -> Result<(), RtError> {
         assert!(self.cfg.chunk_bytes > 0, "chunk_bytes must be positive");
         assert!(
             self.cfg.checkpoint_interval_bytes > 0,
@@ -1191,7 +1133,7 @@ impl ClusterRuntimeBuilder {
         }
         for f in self.workflow.function_ids() {
             let name = &self.workflow.function(f).name;
-            if !self.bodies.contains_key(name) {
+            if bodies && !self.bodies.contains_key(name) {
                 return Err(RtError::UnregisteredFunction(name.clone()));
             }
         }
@@ -1314,11 +1256,12 @@ impl ClusterRuntimeBuilder {
     }
 }
 
-/// Identity of a worker process in a TCP cluster: which node it
-/// embodies and which incarnation it is.
+/// Identity of one process of a TCP cluster: which endpoint it embodies
+/// and which incarnation it is.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WireSpec {
-    /// The node index this process embodies.
+    /// The endpoint this process embodies: a node index, or the node
+    /// count for the client endpoint (the coordinator).
     pub(crate) local: usize,
     /// Restart epoch (0 on first launch). Namespaces transfer ids so a
     /// restarted worker's streams can never collide with acks or
@@ -1326,11 +1269,10 @@ pub(crate) struct WireSpec {
     pub(crate) epoch: u32,
 }
 
-/// First transfer id a worker mints: epoch in the top 16 bits, the node
-/// index below it, so every (incarnation, sender) pair draws from a
-/// disjoint id space. The coordinator uses the same scheme with the
-/// endpoint index past the last node.
-pub(crate) fn worker_transfer_base(local: usize, epoch: u32) -> u64 {
+/// First transfer id a wire endpoint mints: epoch in the top 16 bits, the
+/// endpoint index below it, so every (incarnation, sender) pair draws
+/// from a disjoint id space.
+fn transfer_base(local: usize, epoch: u32) -> u64 {
     ((epoch as u64) << 48) | ((local as u64 & 0xff) << 40)
 }
 
@@ -1373,35 +1315,57 @@ impl ClusterRuntime {
                     outputs_missing,
                     outputs: Vec::new(),
                     errors: Vec::new(),
+                    delivered: HashSet::new(),
                 },
             );
 
         // Seed every node's sink with the request's missing-input counts
-        // for the functions it hosts.
-        for (node_id, node) in self.inner.nodes.iter().enumerate() {
-            node.sink
-                .insert(req.0, seed_req_state(&self.inner, node_id, &active));
+        // for the functions it hosts. (Over the wire the nodes live in
+        // other processes and seed themselves on first frame arrival.)
+        let wire = self.inner.wire.as_ref();
+        if wire.is_none() {
+            for (node_id, node) in self.inner.nodes.iter().enumerate() {
+                node.sink
+                    .insert(req.0, seed_req_state(&self.inner, node_id, &active));
+            }
         }
 
-        // Deliver the client inputs by data name (cluster ingress: no
-        // inter-node shaping on the way in).
+        // Hand the client inputs over by data name.
         for (name, payload) in inputs {
             let mut matched = false;
             for eid in wf.client_inputs().collect::<Vec<_>>() {
                 let e = wf.edge(eid);
-                if e.data_name == name {
-                    matched = true;
-                    if let Endpoint::Function(dst) = e.target {
-                        let dst_node = self.inner.node_of(&wf.function(dst).name);
-                        deliver(
-                            &self.inner,
-                            dst_node,
-                            req,
-                            eid,
-                            format!("{name}@$USER"),
-                            payload.clone(),
-                        );
+                if e.data_name != name {
+                    continue;
+                }
+                matched = true;
+                let Endpoint::Function(dst) = e.target else {
+                    continue;
+                };
+                let dst_node = self.inner.node_of(&wf.function(dst).name);
+                let key = format!("{name}@$USER");
+                match wire {
+                    // Cluster ingress: straight into the hosting node's
+                    // sink, no inter-node shaping on the way in.
+                    None => deliver(&self.inner, dst_node, req, eid, key, payload.clone()),
+                    // This process is the client endpoint: the input
+                    // leaves as one retained whole frame, whatever its
+                    // size — a client input is not a §7 pipe transfer.
+                    Some(w) if active.edge_active(eid) => {
+                        if let Some(links) = self.inner.link_row(w.local) {
+                            ship_whole(
+                                &self.inner,
+                                &links,
+                                w.local,
+                                dst_node,
+                                req,
+                                eid,
+                                key,
+                                &payload,
+                            );
+                        }
                     }
+                    Some(_) => {}
                 }
             }
             if !matched {
@@ -1510,7 +1474,7 @@ impl ClusterRuntime {
                 drop(reqs);
                 // Drop the request's per-node sink state (leftover
                 // entries of switched-off branches, reassembly buffers).
-                self.purge_nodes(req);
+                purge_request(&self.inner, req.0);
                 self.inner.gate.finish(req.0, true);
                 return Ok(rs.outputs);
             }
@@ -1542,22 +1506,8 @@ impl ClusterRuntime {
             .lock()
             .expect("runtime lock poisoned")
             .remove(&req.0);
-        self.purge_nodes(req);
+        purge_request(&self.inner, req.0);
         self.inner.gate.finish(req.0, false);
-    }
-
-    fn purge_nodes(&self, req: ReqId) {
-        for node in &self.inner.nodes {
-            node.sink.remove(req.0);
-        }
-        if self.inner.cfg.orchestrator && self.inner.cfg.recovery.enabled {
-            // Retain-acked mode parks completed transfers for relocation
-            // replay instead of freeing them on ack — a collected request
-            // is the reclamation point.
-            for r in self.inner.retention.iter() {
-                r.lock().expect("retention lock poisoned").purge_req(req.0);
-            }
-        }
     }
 
     /// Number of worker nodes in the topology.
@@ -1612,10 +1562,9 @@ impl ClusterRuntime {
     /// Messages queued (or in shaping) on the fabric links **into**
     /// `node` — the node's inbound pressure.
     pub fn fabric_inbound_depth(&self, node: usize) -> usize {
-        let s = stride(&self.inner);
-        (0..s)
+        (0..self.inner.nodes.len())
             .filter(|src| *src != node)
-            .map(|src| self.inner.link_depth[src * s + node].load(Ordering::Relaxed))
+            .map(|src| depth_of(&self.inner, src, node).load(Ordering::Relaxed))
             .sum()
     }
 
@@ -2161,34 +2110,25 @@ fn route(inner: &Inner, msg: DluMsg) {
             continue; // switched-off branch: data dropped by design
         }
         match e.target {
-            Endpoint::Client => {
-                if let Some(w) = &inner.wire {
-                    // Worker process: the client lives in the coordinator
-                    // — ship the output over the wire to the trailing
-                    // endpoint, retained and acked like any transfer.
+            Endpoint::Client => match &inner.wire {
+                // Worker process: the client is the cluster's trailing
+                // endpoint — ship the output to it over the wire,
+                // retained and acked like any transfer.
+                Some(w) => {
                     let key = format!("{}@{}", msg.data_name, msg.src_fn);
                     ship(
                         inner,
                         &links,
                         src_node,
-                        w.endpoints - 1,
+                        w.client,
                         msg.req,
                         eid,
                         key,
                         &msg.payload,
                     );
-                } else {
-                    let mut reqs = inner.reqs.lock().expect("runtime lock poisoned");
-                    if let Some(rs) = reqs.get_mut(&msg.req.0) {
-                        rs.outputs
-                            .push((msg.data_name.clone(), msg.payload.clone()));
-                        rs.outputs_missing = rs.outputs_missing.saturating_sub(1);
-                        if rs.outputs_missing == 0 {
-                            inner.done.notify_all();
-                        }
-                    }
                 }
-            }
+                None => complete_output(inner, msg.req.0, eid, msg.payload.clone()),
+            },
             Endpoint::Function(t) => {
                 let dst_node = inner.node_of(&wf.function(t).name);
                 let key = format!("{}@{}", msg.data_name, msg.src_fn);
@@ -2281,7 +2221,7 @@ fn ship(
                 return;
             }
             let link = links[dst_node].as_ref().expect("cross-node link exists");
-            let depth = &inner.link_depth[src_node * stride(inner) + dst_node];
+            let depth = depth_of(inner, src_node, dst_node);
             let transfer = inner.next_transfer.fetch_add(1, Ordering::Relaxed);
             let cp = CheckpointSchedule::new(inner.cfg.checkpoint_interval_bytes as f64);
             let spans = chunk_spans(len, inner.cfg.chunk_bytes);
@@ -2355,7 +2295,7 @@ fn ship_whole(
     payload: &Bytes,
 ) {
     let link = links[dst_node].as_ref().expect("cross-node link exists");
-    let depth = &inner.link_depth[src_node * stride(inner) + dst_node];
+    let depth = depth_of(inner, src_node, dst_node);
     let transfer = inner.next_transfer.fetch_add(1, Ordering::Relaxed);
     if inner.cfg.recovery.enabled {
         retention_of(inner, src_node, dst_node)
@@ -2388,7 +2328,7 @@ fn ship_whole(
 /// The retention window of the directed link `src → dst`. Only called
 /// with recovery enabled (the vector is empty otherwise).
 pub(crate) fn retention_of(inner: &Inner, src: usize, dst: usize) -> &Mutex<LinkRetention> {
-    &inner.retention[src * stride(inner) + dst]
+    &inner.retention[src * inner.nodes.len() + dst]
 }
 
 /// Fault-injection wrapper around the destination-side fabric handler.
@@ -2477,36 +2417,34 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                 .counters
                 .forwarded_frames
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(w) = &inner.wire {
-                if cur != w.local {
-                    // Another process hosts the function now: relay the
-                    // frame over the wire. The sender's retention entry
-                    // is re-homed by the coordinator's relocate
-                    // broadcast, so the new host's acks find it there.
-                    if let Some(tx) = w.out.get(cur).and_then(|t| t.as_ref()) {
-                        let _ = tx.send(msg);
-                    }
-                    return;
-                }
-                // cur == local: fall through and ingest under the new
-                // node id below.
-            } else if inner.cfg.recovery.enabled {
+            match &inner.wire {
+                // Another process hosts the function now: relay the
+                // frame over the wire. The sender's retention entry is
+                // re-homed by the coordinator's relocate broadcast, so
+                // the new host's acks find it there.
+                Some(w) if cur != w.local => return wire_send(inner, w, cur, msg),
+                // The new host is this process: fall through and ingest
+                // under the new node id below.
+                Some(_) => {}
                 // In-process: drag the sender's retention entry along to
                 // the new destination link, or the acks coming back from
                 // the new host would miss it and the old-link entry
                 // would retransmit forever.
-                if let NetMsg::Whole { transfer, .. } | NetMsg::Chunk { transfer, .. } = &msg {
-                    let moved = retention_of(inner, src, dst_node)
-                        .lock()
-                        .expect("retention lock poisoned")
-                        .take(*transfer);
-                    if let Some(t) = moved {
-                        retention_of(inner, src, cur)
+                None if inner.cfg.recovery.enabled => {
+                    if let NetMsg::Whole { transfer, .. } | NetMsg::Chunk { transfer, .. } = &msg {
+                        let moved = retention_of(inner, src, dst_node)
                             .lock()
                             .expect("retention lock poisoned")
-                            .adopt(*transfer, t, false);
+                            .take(*transfer);
+                        if let Some(t) = moved {
+                            retention_of(inner, src, cur)
+                                .lock()
+                                .expect("retention lock poisoned")
+                                .adopt(*transfer, t, false);
+                        }
                     }
                 }
+                None => {}
             }
             handle_net_msg(inner, src, cur, msg);
             return;
@@ -2517,13 +2455,10 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
         return;
     }
     match msg {
-        NetMsg::AckMark { transfer, mark } => {
-            // `src` acknowledged a mark of a transfer *we* sent on the
-            // directed link `dst_node → src`.
-            apply_ack_mark(inner, dst_node, src, transfer, mark);
-        }
-        NetMsg::AckComplete { transfer } => {
-            apply_ack_complete(inner, dst_node, src, transfer);
+        // `src` acknowledged (a mark of) a transfer *we* sent on the
+        // directed link `dst_node → src`.
+        ack @ (NetMsg::AckMark { .. } | NetMsg::AckComplete { .. }) => {
+            apply_ack(inner, dst_node, src, ack);
         }
         NetMsg::Whole {
             req,
@@ -2532,9 +2467,8 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
             transfer,
             payload,
         } => {
-            ensure_seeded(inner, dst_node, req);
             deliver(inner, dst_node, ReqId(req), edge, key, payload);
-            ack_complete(inner, src, dst_node, transfer);
+            ack(inner, src, dst_node, NetMsg::AckComplete { transfer });
         }
         NetMsg::Chunk {
             req,
@@ -2574,10 +2508,12 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                 }
             });
             match progress {
-                ChunkProgress::Orphan => ack_complete(inner, src, dst_node, transfer),
+                ChunkProgress::Orphan => {
+                    ack(inner, src, dst_node, NetMsg::AckComplete { transfer })
+                }
                 ChunkProgress::Complete(payload) => {
                     deliver(inner, dst_node, ReqId(req), edge, key, payload);
-                    ack_complete(inner, src, dst_node, transfer);
+                    ack(inner, src, dst_node, NetMsg::AckComplete { transfer });
                 }
                 ChunkProgress::Prefix(prefix) => {
                     // Ack the last checkpoint mark the contiguous prefix
@@ -2586,7 +2522,7 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                     let interval = inner.cfg.checkpoint_interval_bytes;
                     let mark = (prefix / interval) * interval;
                     if mark > 0 {
-                        ack_mark(inner, src, dst_node, transfer, mark);
+                        ack(inner, src, dst_node, NetMsg::AckMark { transfer, mark });
                     }
                 }
             }
@@ -2594,74 +2530,88 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
     }
 }
 
-/// Delivery acknowledgement: releases the sender's retention entry for a
-/// fully delivered (or orphaned) transfer. In-process, acks are a direct
-/// call back into the source link's retention window — the return path
-/// of the §6.2 checkpoint protocol. In wire mode the sender lives in a
-/// different OS process, so the ack becomes an [`NetMsg::AckComplete`]
-/// frame enqueued back over the wire instead.
-fn ack_complete(inner: &Inner, src: usize, dst: usize, transfer: u64) {
-    if !inner.cfg.recovery.enabled {
+/// Enqueues `msg` on this wire endpoint's outbound link toward the remote
+/// endpoint `dst`, where the transport's link agent picks it up. Dropped
+/// once shutdown cleared the link rows.
+fn wire_send(inner: &Inner, w: &WireState, dst: usize, msg: NetMsg) {
+    let Some(links) = inner.link_row(w.local) else {
         return;
+    };
+    let Some(tx) = links.get(dst).and_then(|t| t.as_ref()) else {
+        return;
+    };
+    // The agent takes every data frame it dequeues off the gauge.
+    let data = matches!(msg, NetMsg::Whole { .. } | NetMsg::Chunk { .. });
+    if data {
+        depth_of(inner, w.local, dst).fetch_add(1, Ordering::Relaxed);
     }
-    if let Some(w) = &inner.wire {
-        if src != w.local {
-            if let Some(tx) = w.out.get(src).and_then(|t| t.as_ref()) {
-                let _ = tx.send(NetMsg::AckComplete { transfer });
+    if tx.send(msg).is_err() && data {
+        depth_of(inner, w.local, dst).fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Re-delivers one recovery frame (a restart replay, a retransmission or
+/// a relocation re-send) on the link `src → dst`. When this process
+/// serves `dst` the frame goes straight into the ingress — it skipped
+/// the shipper, so it pays the link's serialization delay here, which is
+/// why recovery latency scales with the re-sent volume the checkpoint
+/// interval bounds. A remote endpoint gets it through the outbound wire
+/// queue like any other frame.
+pub(crate) fn emit(inner: &Inner, src: usize, dst: usize, msg: NetMsg) {
+    match &inner.wire {
+        Some(w) if dst != w.local => wire_send(inner, w, dst, msg),
+        _ => {
+            if let Some(bw) = inner.cfg.link.bandwidth_bytes_per_sec {
+                if bw > 0.0 && src != dst && !inner.shutdown.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_secs_f64(msg.wire_bytes() as f64 / bw));
+                }
             }
-            return;
+            handle_net_msg(inner, src, dst, msg);
         }
     }
-    apply_ack_complete(inner, src, dst, transfer);
 }
 
-/// Checkpoint-mark acknowledgement: trims the sender's retention window
-/// for `transfer` to the durable `mark`. Emitted as an
-/// [`NetMsg::AckMark`] frame in wire mode, like [`ack_complete`].
-fn ack_mark(inner: &Inner, src: usize, dst: usize, transfer: u64, mark: usize) {
+/// Acknowledges a transfer on the link `src → dst` back to its sender —
+/// the return path of the §6.2 checkpoint protocol: a completion ack
+/// releases the sender's retention entry for a fully delivered (or
+/// orphaned) transfer, a mark ack trims it to the durable mark. When
+/// the sender's retention window lives in this process the ack is a
+/// direct call into it; when the sender is another OS process the ack
+/// becomes a frame enqueued back over the wire.
+fn ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
     if !inner.cfg.recovery.enabled {
         return;
     }
-    if let Some(w) = &inner.wire {
-        if src != w.local {
-            if let Some(tx) = w.out.get(src).and_then(|t| t.as_ref()) {
-                let _ = tx.send(NetMsg::AckMark { transfer, mark });
-            }
-            return;
+    match &inner.wire {
+        Some(w) if src != w.local => wire_send(inner, w, src, ack),
+        _ => apply_ack(inner, src, dst, ack),
+    }
+}
+
+/// Applies an ack to the local retention window of the directed link
+/// `src → dst` (`src` is the sender — in wire mode, this process),
+/// counting the checkpoint marks a mark ack crossed.
+fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
+    if !inner.cfg.recovery.enabled {
+        return;
+    }
+    let mut window = retention_of(inner, src, dst)
+        .lock()
+        .expect("retention lock poisoned");
+    match ack {
+        NetMsg::AckComplete { transfer } => {
+            window.ack_complete(transfer);
         }
-    }
-    apply_ack_mark(inner, src, dst, transfer, mark);
-}
-
-/// Applies a completion ack to the local retention window of the
-/// directed link `src → dst` (`src` is the sender — in wire mode, this
-/// process).
-pub(crate) fn apply_ack_complete(inner: &Inner, src: usize, dst: usize, transfer: u64) {
-    if !inner.cfg.recovery.enabled {
-        return;
-    }
-    retention_of(inner, src, dst)
-        .lock()
-        .expect("retention lock poisoned")
-        .ack_complete(transfer);
-}
-
-/// Applies a checkpoint-mark ack to the local retention window of the
-/// directed link `src → dst`, counting the marks the ack crossed.
-pub(crate) fn apply_ack_mark(inner: &Inner, src: usize, dst: usize, transfer: u64, mark: usize) {
-    if !inner.cfg.recovery.enabled {
-        return;
-    }
-    let advanced = retention_of(inner, src, dst)
-        .lock()
-        .expect("retention lock poisoned")
-        .ack_mark(transfer, mark);
-    if let Some(prev) = advanced {
-        let cp = CheckpointSchedule::new(inner.cfg.checkpoint_interval_bytes as f64);
-        inner.counters.acked_marks.fetch_add(
-            cp.marks_crossed(prev as f64, mark as f64),
-            Ordering::Relaxed,
-        );
+        NetMsg::AckMark { transfer, mark } => {
+            if let Some(prev) = window.ack_mark(transfer, mark) {
+                let cp = CheckpointSchedule::new(inner.cfg.checkpoint_interval_bytes as f64);
+                inner.counters.acked_marks.fetch_add(
+                    cp.marks_crossed(prev as f64, mark as f64),
+                    Ordering::Relaxed,
+                );
+            }
+        }
+        NetMsg::Whole { .. } | NetMsg::Chunk { .. } => {}
     }
 }
 
@@ -2736,23 +2686,19 @@ pub(crate) fn seed_req_state(
     }
 }
 
-/// Wire-mode lazy request seeding: a worker process never sees
+/// Wire-mode lazy request seeding: only the client endpoint sees
 /// `invoke`, so the first data frame of a request must create the local
 /// sink state the in-process runtime seeds eagerly. Runs under one
 /// stripe-lock acquisition ([`crate::ShardedSink::with_or_insert`]) so a
-/// concurrent purge cannot race the insert; a request the coordinator
-/// already collected is left unseeded — its late frames fall through the
+/// concurrent purge cannot race the insert; a request the client already
+/// collected is left unseeded — its late frames fall through the
 /// existing orphan handling and get acked away. In-process (`wire ==
 /// None`) this is a no-op.
 fn ensure_seeded(inner: &Inner, node_id: usize, req: u64) {
     let Some(w) = &inner.wire else {
         return;
     };
-    if w.purged
-        .lock()
-        .expect("purged lock poisoned")
-        .contains(&req)
-    {
+    if w.purged.lock().expect("purged lock poisoned").contains(req) {
         return;
     }
     inner.nodes[node_id].sink.with_or_insert(
@@ -2763,6 +2709,26 @@ fn ensure_seeded(inner: &Inner, node_id: usize, req: u64) {
         },
         |_| (),
     );
+}
+
+/// Drops everything this process tracks for a collected or abandoned
+/// request: its sink state on every local endpoint (leftover entries of
+/// switched-off branches, reassembly buffers) and — in retain-acked mode,
+/// which parks completed transfers for relocation replay instead of
+/// freeing them on ack — its retained transfers. A wire endpoint also
+/// remembers the id so late frames cannot re-seed it.
+pub(crate) fn purge_request(inner: &Inner, req: u64) {
+    if let Some(w) = &inner.wire {
+        w.purged.lock().expect("purged lock poisoned").insert(req);
+    }
+    for node in &inner.nodes {
+        node.sink.remove(req);
+    }
+    if inner.cfg.orchestrator && inner.cfg.recovery.enabled {
+        for r in inner.retention.iter() {
+            r.lock().expect("retention lock poisoned").purge_req(req);
+        }
+    }
 }
 
 /// Takes `node` down (§6.2 data-plane crash) and rolls its in-flight
@@ -2810,64 +2776,72 @@ fn restart_node_inner(inner: &Inner, node: usize) {
     }
 }
 
-/// Replays retained frames into `dst` from every other node's retention
-/// window: all incomplete transfers on the restart path (`older_than ==
-/// None`), or only ack-stale ones on the retransmit path. Frames stay
+/// The source endpoints whose outbound retention windows live in this
+/// process: every node in-process, only the local endpoint over the wire.
+pub(crate) fn retention_sources(inner: &Inner) -> std::ops::Range<usize> {
+    match &inner.wire {
+        Some(w) => w.local..w.local + 1,
+        None => 0..inner.nodes.len(),
+    }
+}
+
+/// Books one replay sweep into the recovery counters — as a retransmit
+/// when it swept ack-stale transfers only, as a recovery otherwise — and
+/// hands back the frames to re-send.
+pub(crate) fn account_replay(inner: &Inner, summary: ReplaySummary, stale: bool) -> Vec<NetMsg> {
+    let c = &inner.counters;
+    if stale {
+        c.retransmitted
+            .fetch_add(summary.transfers, Ordering::Relaxed);
+    } else {
+        c.recovered_transfers
+            .fetch_add(summary.transfers, Ordering::Relaxed);
+        c.resumed_from_mark
+            .fetch_add(summary.resumed_from_mark_bytes, Ordering::Relaxed);
+    }
+    let bytes: usize = summary.frames.iter().map(NetMsg::wire_bytes).sum();
+    c.replayed_frames
+        .fetch_add(summary.frames.len() as u64, Ordering::Relaxed);
+    c.replayed_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    summary.frames
+}
+
+/// The frames the link `src → dst` must re-send: those of every
+/// incomplete transfer (`older_than == None`: the destination restarted
+/// or reconnected) or of the ack-stale ones only (the retransmit sweep),
+/// each resuming from its last acknowledged checkpoint mark. Frames stay
 /// retained until acked, so a replay lost to another fault is replayed
-/// again. The replay pays the link's serialization delay (skipped during
-/// shutdown), so recovery latency scales with the re-sent volume — which
-/// the checkpoint interval bounds.
+/// again.
+pub(crate) fn take_replay(
+    inner: &Inner,
+    src: usize,
+    dst: usize,
+    older_than: Option<Duration>,
+) -> Vec<NetMsg> {
+    let summary = retention_of(inner, src, dst)
+        .lock()
+        .expect("retention lock poisoned")
+        .replay(Instant::now(), older_than);
+    account_replay(inner, summary, older_than.is_some())
+}
+
+/// Replays retained frames into `dst` from every local retention window
+/// toward it (see [`take_replay`]). Self-links included: local sends
+/// never retain, but relocation drags a retention entry onto `src → src`
+/// when the function moved to the sender's own node, and those entries
+/// starve without a retransmit scan.
 fn replay_links_into(inner: &Inner, dst: usize, older_than: Option<Duration>) {
-    let n = inner.nodes.len();
-    for src in 0..n {
-        // Self-links included: local sends never retain, but relocation
-        // forwarding drags a retention entry onto `src → src` when the
-        // function moved to the sender's own node, and those entries
-        // starve without a retransmit scan.
-        let summary = retention_of(inner, src, dst)
-            .lock()
-            .expect("retention lock poisoned")
-            .replay(Instant::now(), older_than);
-        if summary.transfers == 0 {
-            continue;
-        }
-        if older_than.is_none() {
-            inner
-                .counters
-                .recovered_transfers
-                .fetch_add(summary.transfers, Ordering::Relaxed);
-            inner
-                .counters
-                .resumed_from_mark
-                .fetch_add(summary.resumed_from_mark_bytes, Ordering::Relaxed);
-        } else {
-            inner
-                .counters
-                .retransmitted
-                .fetch_add(summary.transfers, Ordering::Relaxed);
-        }
-        for msg in summary.frames {
-            if let Some(bw) = inner.cfg.link.bandwidth_bytes_per_sec {
-                if bw > 0.0 && !inner.shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_secs_f64(msg.wire_bytes() as f64 / bw));
-                }
-            }
-            inner
-                .counters
-                .replayed_frames
-                .fetch_add(1, Ordering::Relaxed);
-            inner
-                .counters
-                .replayed_bytes
-                .fetch_add(msg.wire_bytes() as u64, Ordering::Relaxed);
-            handle_net_msg(inner, src, dst, msg);
+    for src in retention_sources(inner) {
+        for msg in take_replay(inner, src, dst, older_than) {
+            emit(inner, src, dst, msg);
         }
     }
 }
 
-/// The recovery daemon: a per-runtime background thread that executes
+/// The recovery daemon: a per-process background thread that executes
 /// fault-plan restarts once their outage elapsed, and retransmits
-/// transfers whose acks never arrived (frames lost in flight). Sleeps on
+/// transfers whose acks never arrived — frames lost to chaos drops, to a
+/// killed peer's kernel buffers or to a torn connection. Sleeps on
 /// the shutdown condvar like the janitors, so teardown never waits out a
 /// tick.
 fn recovery_daemon(inner: Arc<Inner>) {
@@ -2890,17 +2864,37 @@ fn recovery_daemon(inner: Arc<Inner>) {
             }
         }
         if inner.cfg.recovery.enabled {
-            for dst in 0..inner.nodes.len() {
-                if inner.nodes[dst].lost.load(Ordering::SeqCst) {
+            for (dst, node) in inner.nodes.iter().enumerate() {
+                if node.lost.load(Ordering::SeqCst) {
                     // Straggler healing: retention that still points at a
                     // permanently lost node (a send raced the relocation)
                     // is re-homed toward the live placement and replayed.
-                    orchestrator::sweep_lost_node_retention(&inner, dst);
-                } else if !inner.nodes[dst].down.load(Ordering::SeqCst) {
+                    orchestrator::rehome_retention(&inner, dst);
+                } else if !node.down.load(Ordering::SeqCst) {
                     replay_links_into(&inner, dst, Some(timeout));
                 }
             }
         }
+    }
+}
+
+/// Records one client output of `req` — what `wait` collects. The one
+/// completion point of the in-process DLU route and of the client
+/// endpoint's wire ingress alike; a second arrival on the same edge is
+/// dropped.
+fn complete_output(inner: &Inner, req: u64, edge: EdgeId, payload: Bytes) {
+    let mut reqs = inner.reqs.lock().expect("runtime lock poisoned");
+    let Some(rs) = reqs.get_mut(&req) else {
+        return; // collected, abandoned or never invoked
+    };
+    if !rs.delivered.insert(edge) {
+        return;
+    }
+    let name = inner.workflow.edge(edge).data_name.clone();
+    rs.outputs.push((name, payload));
+    rs.outputs_missing = rs.outputs_missing.saturating_sub(1);
+    if rs.outputs_missing == 0 {
+        inner.done.notify_all();
     }
 }
 
@@ -2921,10 +2915,12 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
     let wf = &inner.workflow;
     let e = wf.edge(edge);
     let Endpoint::Function(dst) = e.target else {
-        return;
+        // A client output that came back over the wire.
+        return complete_output(inner, req.0, edge, payload);
     };
     let name = &wf.function(dst).name;
     inner.counters.deliveries.fetch_add(1, Ordering::Relaxed);
+    ensure_seeded(inner, dst_node, req.0);
     let outcome = inner.nodes[dst_node].sink.with(req.0, |rs| {
         let Some(rs) = rs else {
             return Delivered::Done;
@@ -3053,5 +3049,107 @@ fn janitor(inner: Arc<Inner>, ttl: Duration) {
                 }
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dataflower_sim::SimRng;
+
+    /// `RtStats` names its fields by hand in `to_vec`, `from_vec` and
+    /// `merge` (the worker `stats` RPC payload and its aggregation); a
+    /// distinct value per field pins the three orderings to each other.
+    #[test]
+    fn stats_vector_ordering_roundtrips_every_field() {
+        fn distinct(scale: u64) -> RtStats {
+            RtStats {
+                puts: scale,
+                deliveries: 2 * scale,
+                invocations: 3 * scale,
+                spills: 4 * scale,
+                direct_socket_transfers: 5 * scale,
+                local_pipe_transfers: 6 * scale,
+                remote_pipe_transfers: 7 * scale,
+                remote_chunks: 8 * scale,
+                remote_checkpoints: 9 * scale,
+                remote_bytes: 10 * scale,
+                scale_out_events: 11 * scale,
+                scale_in_events: 12 * scale,
+                acked_marks: 13 * scale,
+                node_crashes: 14 * scale,
+                node_restarts: 15 * scale,
+                frames_lost_to_crashes: 16 * scale,
+                chaos_dropped_frames: 17 * scale,
+                chaos_duplicated_frames: 18 * scale,
+                chaos_delayed_frames: 19 * scale,
+                recovered_transfers: 20 * scale,
+                replayed_frames: 21 * scale,
+                replayed_bytes: 22 * scale,
+                resumed_from_mark_bytes: 23 * scale,
+                retransmitted_transfers: 24 * scale,
+                heartbeats: 25 * scale,
+                heartbeat_misses: 26 * scale,
+                node_losses: 27 * scale,
+                relocated_functions: 28 * scale,
+                live_migrations: 29 * scale,
+                forwarded_frames: 30 * scale,
+                admitted_requests: 31 * scale,
+                rejected_requests: 32 * scale,
+            }
+        }
+        let x = distinct(1);
+        let v = x.to_vec();
+        // Every field exactly once: as many entries as the literal above
+        // has fields, no value repeated, none dropped.
+        let mut seen = v.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=32).collect::<Vec<u64>>());
+        assert_eq!(RtStats::from_vec(&v), x);
+
+        let y = distinct(1000);
+        let mut sum = x.clone();
+        sum.merge(&y);
+        assert_eq!(sum, distinct(1001), "merge is the field-wise sum");
+        // A shorter vector (an older worker) reads its tail as zero.
+        assert_eq!(RtStats::from_vec(&v[..2]).invocations, 0);
+    }
+
+    /// The purged-request set against a plain `HashSet` model: ids purged
+    /// in an order shuffled within a bounded window must read identically
+    /// through `contains`, while the resident entries stay bounded by that
+    /// out-of-order window instead of growing with the request count.
+    #[test]
+    fn purged_set_matches_hashset_model_with_bounded_residency() {
+        const WINDOW: u64 = 64;
+        const REQUESTS: u64 = 20_000;
+        let mut rng = SimRng::seed_from(0x9e37_79b9);
+        let mut set = PurgedSet::default();
+        let mut model: HashSet<u64> = HashSet::new();
+        let mut peak = 0usize;
+        for lo in (0..REQUESTS).step_by(WINDOW as usize) {
+            // No id is purged more than a window ahead of an unpurged one.
+            let mut block: Vec<u64> = (lo..(lo + WINDOW).min(REQUESTS)).collect();
+            while !block.is_empty() {
+                let id = block.swap_remove(rng.index(block.len()));
+                set.insert(id);
+                model.insert(id);
+                peak = peak.max(set.ahead.len());
+                let anywhere = rng.index((lo + 2 * WINDOW) as usize) as u64;
+                for probe in [id, id + 1, id.saturating_sub(1), anywhere] {
+                    assert_eq!(set.contains(probe), model.contains(&probe), "id {probe}");
+                }
+            }
+        }
+        assert_eq!(model.len() as u64, REQUESTS);
+        assert_eq!(set.below, REQUESTS);
+        assert!(set.ahead.is_empty());
+        assert!(
+            (1..WINDOW as usize).contains(&peak),
+            "{peak} resident entries for a {WINDOW}-wide window"
+        );
+        // Re-purging below the watermark stays a no-op.
+        set.insert(3);
+        assert!(set.ahead.is_empty());
     }
 }

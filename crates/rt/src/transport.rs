@@ -3,7 +3,8 @@
 //! The in-process fabric ships `NetMsg` frames between threads of one
 //! process; this module promotes every directed link to a real
 //! `std::net::TcpStream` speaking the versioned [`wire`](crate::wire)
-//! frame format, and runs **one OS process per node**:
+//! frame format, and runs **one OS process per endpoint** of the same
+//! runtime:
 //!
 //! * [`TcpCluster::launch`] (the *coordinator*) re-executes the current
 //!   binary once per node with `DATAFLOWER_WORKER_*` environment
@@ -11,51 +12,55 @@
 //!   `127.0.0.1:0`, reports its port over a line-framed JSON control
 //!   channel, and receives the full port map back — so no port is ever
 //!   chosen statically.
-//! * A worker embeds exactly one node of the cluster via
-//!   `ClusterRuntimeBuilder::start_worker`; its DLU daemons enqueue
-//!   outbound frames into per-directed-link queues drained by one
-//!   *link agent* thread each (`link_agent`), which lazily dials the
-//!   destination, writes a `Hello` preamble, and ships frames
-//!   zero-copy (header buffer + [`Bytes`] payload view, no
-//!   re-serialization of the payload).
-//! * The §6.2 retention/ack protocol of the in-process runtime carries
-//!   over unchanged, except acks become explicit `AckMark` /
-//!   `AckComplete` wire frames flowing back over the reverse link.
-//! * Every inbound data frame is appended to a per-worker checkpoint
+//! * A worker embeds exactly one node of the cluster and the coordinator
+//!   embeds its **client endpoint** — both through
+//!   `ClusterRuntimeBuilder::start_wire`, so request state, chunk
+//!   reassembly, the §6.2 retention/ack protocol, the retransmit sweep
+//!   and relocation re-homing are the runtime's own code on either side
+//!   of every socket. Acks, which the in-process fabric applies as
+//!   direct calls, travel as explicit `AckMark` / `AckComplete` frames
+//!   over the reverse link.
+//! * What lives here is what is actually TCP: process spawn and the
+//!   hello handshake, the control RPC, one *link agent* thread per
+//!   outbound directed link (`link_agent`: lazily dials the destination,
+//!   writes a `Hello` preamble, ships frames zero-copy — header buffer +
+//!   [`Bytes`] payload view, no re-serialization — and
+//!   replays un-acked transfers when a reconnect succeeds), the inbound
+//!   decode loop (`reader`) and the checkpoint log.
+//! * Every data frame inbound to a worker is appended to its checkpoint
 //!   log **before** it is dispatched, so a `kill -9`'d worker restarted
 //!   by [`TcpCluster::restart_worker`] replays its durable ingress,
 //!   re-fires its functions idempotently, and the senders replay every
-//!   un-acked transfer from the last acknowledged checkpoint mark when
-//!   their reconnect succeeds — byte-identical outputs across a hard
-//!   worker kill.
+//!   un-acked transfer from the last acknowledged checkpoint mark —
+//!   byte-identical outputs across a hard worker kill.
 //!
 //! The in-process fabric remains the default and the fast path; this
 //! module is opt-in for callers that want real process isolation (see
 //! `examples/socket_cluster.rs`).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dataflower::CheckpointSchedule;
-use dataflower_workflow::{json, EdgeId, Endpoint, Workflow};
+use dataflower_workflow::{json, Workflow};
 
+use crate::admission::{Rejected, TenantStats};
 use crate::bytes::Bytes;
-use crate::channel::{bounded, Receiver, Sender};
+use crate::channel::Receiver;
 use crate::error::RtError;
-use crate::fabric::{LinkConfig, LinkRetention, NetMsg, Reassembler, SHIPPER_BATCH};
+use crate::fabric::{NetMsg, SHIPPER_BATCH};
 use crate::node::Placement;
-use crate::orchestrator::{activate_pool, fallback_relocate};
+use crate::orchestrator::{activate_pool, fallback_relocate, rehome_retention};
 use crate::runtime::{
-    chaos_ingress, handle_net_msg, node_pressure_of, resolve_active, retention_of, stride,
-    worker_transfer_base, ClusterRtConfig, ClusterRuntimeBuilder, Counters, CrashReport, Inner,
-    ReqId, RtStats, WireSpec,
+    chaos_ingress, depth_of, handle_net_msg, node_pressure_of, purge_request, retention_of,
+    take_replay, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId,
+    RtStats, WireSpec,
 };
 use crate::wire::{encode_into, encode_parts, frame_of, net_of, Decoder, Frame};
 
@@ -153,9 +158,9 @@ impl WorkerEnv {
             local: self.node,
             epoch: self.epoch,
         };
-        let (rt, mut out_rx) = builder.start_worker(spec).expect("start worker runtime");
+        let (rt, out_rx) = builder.start_wire(spec).expect("start worker runtime");
         let inner = Arc::clone(&rt.inner);
-        let endpoints = stride(&inner);
+        let endpoints = inner.nodes.len();
 
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker data listener");
         let data_port = listener.local_addr().expect("listener addr").port();
@@ -177,30 +182,16 @@ impl WorkerEnv {
         let mut line = String::new();
         control_r.read_line(&mut line).expect("read peer table");
         let peers = json::parse(&line).expect("parse peer table");
-        let ports: Vec<u16> = peers
+        let addrs: Vec<Arc<AddrCell>> = peers
             .get("ports")
             .and_then(|p| p.as_arr())
             .expect("peer table ports")
             .iter()
             .filter_map(|x| x.as_f64())
-            .map(|f| f as u16)
+            .map(|f| Arc::new(AddrCell::new(loopback(f as u16))))
             .collect();
-        assert_eq!(ports.len(), endpoints, "peer table covers every endpoint");
-        let addrs: Vec<Arc<AddrCell>> = ports
-            .iter()
-            .map(|&p| Arc::new(AddrCell::new(Some(loopback(p)))))
-            .collect();
-
-        // One shipping agent per outbound directed link.
-        let side = Side::Worker(Arc::clone(&inner));
-        for (dst, rx) in out_rx.iter_mut().enumerate() {
-            if let Some(rx) = rx.take() {
-                let side = side.clone();
-                let addr = Arc::clone(&addrs[dst]);
-                let (local, epoch) = (self.node, self.epoch);
-                thread::spawn(move || link_agent(side, local, dst, epoch, rx, addr));
-            }
-        }
+        assert_eq!(addrs.len(), endpoints, "peer table covers every endpoint");
+        spawn_agents(&inner, spec, out_rx, &addrs);
 
         // Replay the durable ingress of any previous incarnation before
         // accepting new frames: re-fired functions are idempotent (the
@@ -208,37 +199,14 @@ impl WorkerEnv {
         // the re-emitted acks drain through the agents just spawned.
         let log_path = self.dir.join(format!("node{}.log", self.node));
         let (log, restored) = CkptLog::open(&log_path).expect("open checkpoint log");
-        let log = Arc::new(log);
         for (src, frame) in restored {
             if let Some(msg) = net_of(frame) {
                 handle_net_msg(&inner, src as usize, self.node, msg);
             }
         }
-
-        if inner.cfg.recovery.enabled {
-            let side = side.clone();
-            let out = inner
-                .wire
-                .as_ref()
-                .expect("worker runtime is wire mode")
-                .out
-                .clone();
-            let local = self.node;
-            thread::spawn(move || retransmit_pump(side, local, out));
-        }
-
         {
             let inner = Arc::clone(&inner);
-            let log = Arc::clone(&log);
-            let local = self.node;
-            thread::spawn(move || {
-                for conn in listener.incoming() {
-                    let Ok(stream) = conn else { continue };
-                    let inner = Arc::clone(&inner);
-                    let log = Arc::clone(&log);
-                    thread::spawn(move || worker_reader(inner, log, stream, local));
-                }
-            });
+            thread::spawn(move || accept_loop(listener, inner, Some(Arc::new(log))));
         }
 
         // Control request/reply loop — the coordinator serializes
@@ -266,17 +234,12 @@ impl WorkerEnv {
                     format!("{{\"pressure\":{}}}", node_pressure_of(&inner, self.node))
                 }
                 "relocate" => {
-                    let dead = jnum(&v, "dead") as usize;
                     let assign = parse_assign(&v);
                     {
                         let mut p = inner.placement.write().expect("placement lock poisoned");
                         for (name, to) in &assign {
                             p.reassign(name.clone(), *to);
                         }
-                    }
-                    if let Some(state) = inner.nodes.get(dead) {
-                        state.lost.store(true, Ordering::SeqCst);
-                        state.down.store(true, Ordering::SeqCst);
                     }
                     let mut activated = 0usize;
                     for (name, to) in &assign {
@@ -292,8 +255,15 @@ impl WorkerEnv {
                     format!("{{\"ok\":true,\"activated\":{activated}}}")
                 }
                 "resend" => {
+                    // Every survivor repatched its placement by now, so
+                    // the node may be fenced: from here on this worker's
+                    // recovery sweep re-homes stragglers toward it too.
                     let dead = jnum(&v, "dead") as usize;
-                    let n = resend_toward(&inner, self.node, dead);
+                    if let Some(state) = inner.nodes.get(dead) {
+                        state.lost.store(true, Ordering::SeqCst);
+                        state.down.store(true, Ordering::SeqCst);
+                    }
+                    let n = rehome_retention(&inner, dead);
                     format!("{{\"ok\":true,\"transfers\":{n}}}")
                 }
                 "probe" => {
@@ -330,25 +300,7 @@ impl WorkerEnv {
                     format!("{{\"stats\":[{vals}]}}")
                 }
                 "purge" => {
-                    let req = jnum(&v, "req");
-                    if let Some(w) = &inner.wire {
-                        w.purged.lock().expect("purge set poisoned").insert(req);
-                    }
-                    inner.nodes[self.node].sink.remove(req);
-                    // Retain-acked mode (orchestrator) parks completed
-                    // transfers in retention until their request is
-                    // collected — this is the collection point.
-                    if inner.cfg.recovery.enabled {
-                        for dst in 0..endpoints {
-                            if dst == self.node {
-                                continue;
-                            }
-                            retention_of(&inner, self.node, dst)
-                                .lock()
-                                .expect("retention lock poisoned")
-                                .purge_req(req);
-                        }
-                    }
+                    purge_request(&inner, jnum(&v, "req"));
                     "{\"ok\":true}".to_string()
                 }
                 "shutdown" => {
@@ -377,178 +329,44 @@ fn parse_assign(v: &json::Value) -> Vec<(String, usize)> {
     }
 }
 
-/// Worker half of a relocation's data recovery: every transfer this
-/// process still retains **toward** the `dead` node is re-homed onto the
-/// link toward its target function's *current* node (per the already
-/// repatched live placement) and re-sent **from byte 0** — the new host
-/// holds none of the dead node's bytes (its sink and checkpoint log died
-/// with the process), so the acked-mark resume of same-node restarts
-/// does not apply; receivers dedup re-fired duplicates by edge.
-/// Returns the number of transfers re-homed.
-fn resend_toward(inner: &Arc<Inner>, local: usize, dead: usize) -> usize {
-    if !inner.cfg.recovery.enabled || local == dead {
-        return 0;
-    }
-    let wf = &inner.workflow;
-    let moved = retention_of(inner, local, dead)
-        .lock()
-        .expect("retention lock poisoned")
-        .extract(|_| true);
-    if moved.is_empty() {
-        return 0;
-    }
-    let wire = inner.wire.as_ref().expect("worker runtime is wire mode");
-    let mut by_dst: HashMap<usize, Vec<u64>> = HashMap::new();
-    let mut count = 0usize;
-    for (id, t) in moved {
-        let dst = match wf.edge(t.edge).target {
-            Endpoint::Function(tf) => inner.node_of(&wf.function(tf).name),
-            Endpoint::Client => wire.endpoints - 1,
-        };
-        if dst == dead {
-            // Nobody inherited the target yet; park the entry back for a
-            // later sweep.
-            retention_of(inner, local, dead)
-                .lock()
-                .expect("retention lock poisoned")
-                .adopt(id, t, false);
-            continue;
-        }
-        retention_of(inner, local, dst)
-            .lock()
-            .expect("retention lock poisoned")
-            .adopt(id, t, true);
-        by_dst.entry(dst).or_default().push(id);
-        count += 1;
-    }
-    for (dst, ids) in by_dst {
-        let summary = retention_of(inner, local, dst)
-            .lock()
-            .expect("retention lock poisoned")
-            .replay_ids(Instant::now(), &ids);
-        inner
-            .counters
-            .recovered_transfers
-            .fetch_add(summary.transfers, Ordering::Relaxed);
-        for msg in summary.frames {
-            inner
-                .counters
-                .replayed_frames
-                .fetch_add(1, Ordering::Relaxed);
-            inner
-                .counters
-                .replayed_bytes
-                .fetch_add(msg.wire_bytes() as u64, Ordering::Relaxed);
-            if dst == local {
-                // The function's new home is this very process: there is
-                // no wire link to self, so ingest the replayed frame
-                // directly (acks apply to the local self-link window).
-                handle_net_msg(inner, local, local, msg);
-                continue;
-            }
-            let Some(tx) = &wire.out[dst] else { continue };
-            if matches!(msg, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
-                inner.link_depth[local * stride(inner) + dst].fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = tx.send(msg);
-        }
-    }
-    count
-}
-
 /// Where a peer endpoint currently listens; rewritten by `peer_update`
 /// when a worker restarts on a fresh ephemeral port. Agents re-read it
 /// on every dial attempt.
-struct AddrCell(Mutex<Option<SocketAddr>>);
+struct AddrCell(Mutex<SocketAddr>);
 
 impl AddrCell {
-    fn new(addr: Option<SocketAddr>) -> AddrCell {
+    fn new(addr: SocketAddr) -> AddrCell {
         AddrCell(Mutex::new(addr))
     }
 
-    fn get(&self) -> Option<SocketAddr> {
+    fn get(&self) -> SocketAddr {
         *self.0.lock().expect("addr cell poisoned")
     }
 
     fn set(&self, addr: SocketAddr) {
-        *self.0.lock().expect("addr cell poisoned") = Some(addr);
+        *self.0.lock().expect("addr cell poisoned") = addr;
     }
 }
 
-/// Which process a link agent / retransmit pump runs in: a worker
-/// (retention and counters live in the runtime's [`Inner`]) or the
-/// coordinator (which has no runtime — its client-side retention and
-/// counters live in [`CoordShared`]).
-#[derive(Clone)]
-enum Side {
-    Worker(Arc<Inner>),
-    Coord(Arc<CoordShared>),
-}
-
-impl Side {
-    fn recovery_enabled(&self) -> bool {
-        match self {
-            Side::Worker(i) => i.cfg.recovery.enabled,
-            Side::Coord(c) => c.recovery_enabled,
-        }
-    }
-
-    fn retransmit_timeout(&self) -> Duration {
-        match self {
-            Side::Worker(i) => i.cfg.recovery.retransmit_timeout,
-            Side::Coord(c) => c.retransmit_timeout,
-        }
-    }
-
-    fn link(&self) -> &LinkConfig {
-        match self {
-            Side::Worker(i) => &i.cfg.link,
-            Side::Coord(c) => &c.link,
-        }
-    }
-
-    fn shutting_down(&self) -> bool {
-        match self {
-            Side::Worker(i) => i.shutdown.load(Ordering::Relaxed),
-            Side::Coord(c) => c.shutdown.load(Ordering::Relaxed),
-        }
-    }
-
-    fn counters(&self) -> &Counters {
-        match self {
-            Side::Worker(i) => &i.counters,
-            Side::Coord(c) => &c.counters,
-        }
-    }
-
-    /// Runs `f` on the retention window of the directed link
-    /// `src → dst`. Callers must gate on [`Side::recovery_enabled`].
-    fn with_retention<R>(
-        &self,
-        src: usize,
-        dst: usize,
-        f: impl FnOnce(&mut LinkRetention) -> R,
-    ) -> R {
-        match self {
-            Side::Worker(i) => f(&mut retention_of(i, src, dst)
-                .lock()
-                .expect("retention lock poisoned")),
-            Side::Coord(c) => f(&mut c.retention[dst].lock().expect("retention lock poisoned")),
-        }
-    }
-
-    /// Adjusts the backpressure gauge of link `src → dst` (workers
-    /// only; the coordinator has no gauge).
-    fn depth_add(&self, src: usize, dst: usize, delta: isize) {
-        if let Side::Worker(i) = self {
-            let gauge = &i.link_depth[src * stride(i) + dst];
-            if delta >= 0 {
-                gauge.fetch_add(delta as usize, Ordering::Relaxed);
-            } else {
-                gauge.fetch_sub((-delta) as usize, Ordering::Relaxed);
-            }
-        }
-    }
+/// Spawns one [`link_agent`] per outbound directed link of the endpoint
+/// `spec.local` (every `Some` receiver of `out_rx`, dialing `addrs[dst]`).
+fn spawn_agents(
+    inner: &Arc<Inner>,
+    spec: WireSpec,
+    out_rx: Vec<Option<Receiver<NetMsg>>>,
+    addrs: &[Arc<AddrCell>],
+) -> Vec<thread::JoinHandle<()>> {
+    out_rx
+        .into_iter()
+        .enumerate()
+        .filter_map(|(dst, rx)| {
+            let rx = rx?;
+            let (inner, addr) = (Arc::clone(inner), Arc::clone(&addrs[dst]));
+            Some(thread::spawn(move || {
+                link_agent(inner, spec, dst, rx, addr)
+            }))
+        })
+        .collect()
 }
 
 /// Writes one frame to the stream: the fixed-size header buffer, then
@@ -569,7 +387,7 @@ fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
 /// go out as their own zero-copy write.
 const STAGED_FRAME_BYTES: usize = 16 * 1024;
 
-/// The shipping thread of one outbound directed link `local → dst`:
+/// The shipping thread of one outbound directed link `spec.local → dst`:
 /// drains the link's bounded queue, lazily dials the destination's
 /// current address (re-read on every attempt, so a restarted peer's new
 /// port is picked up), writes a `Hello` preamble per connection, and
@@ -580,13 +398,22 @@ const STAGED_FRAME_BYTES: usize = 16 * 1024;
 /// their last acknowledged checkpoint mark before resuming — the §6.2
 /// restart-and-replay path over real sockets.
 fn link_agent(
-    side: Side,
-    local: usize,
+    inner: Arc<Inner>,
+    spec: WireSpec,
     dst: usize,
-    epoch: u32,
     rx: Receiver<NetMsg>,
     addr: Arc<AddrCell>,
 ) {
+    let local = spec.local;
+    // Every data frame leaves the link's backpressure gauge as it leaves
+    // the queue.
+    let dequeued = |m: &NetMsg| {
+        if matches!(m, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
+            depth_of(&inner, local, dst).fetch_sub(1, Ordering::Relaxed);
+        }
+    };
+    let link = &inner.cfg.link;
+    let shaped = link.latency > Duration::ZERO || link.bandwidth_bytes_per_sec.is_some();
     let mut conn: Option<TcpStream> = None;
     let mut had_session = false;
     let mut backlog: VecDeque<NetMsg> = VecDeque::new();
@@ -597,81 +424,61 @@ fn link_agent(
             Some(m) => m,
             None => match rx.recv() {
                 Ok(m) => {
-                    if matches!(m, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
-                        side.depth_add(local, dst, -1);
-                    }
+                    dequeued(&m);
                     m
                 }
                 Err(_) => break,
             },
         };
         loop {
-            if side.shutting_down() {
-                // Teardown: keep draining so senders never block, but
-                // stop shipping.
+            if inner.shutdown.load(Ordering::Relaxed)
+                || inner.nodes[dst].lost.load(Ordering::SeqCst)
+            {
+                // Teardown, or a destination declared permanently lost
+                // (its retention is re-homed elsewhere): keep draining so
+                // senders never block, but stop shipping.
                 continue 'frames;
             }
             if conn.is_none() {
-                let Some(peer) = addr.get() else {
-                    thread::sleep(Duration::from_millis(2));
-                    continue;
-                };
-                let Ok(mut s) = TcpStream::connect(peer) else {
+                let Ok(mut s) = TcpStream::connect(addr.get()) else {
                     thread::sleep(Duration::from_millis(5));
                     continue;
                 };
                 let _ = s.set_nodelay(true);
-                if write_frame(
-                    &mut s,
-                    &Frame::Hello {
-                        node: local as u32,
-                        epoch,
-                    },
-                )
-                .is_err()
-                {
+                let hello = Frame::Hello {
+                    node: local as u32,
+                    epoch: spec.epoch,
+                };
+                if write_frame(&mut s, &hello).is_err() {
                     thread::sleep(Duration::from_millis(5));
                     continue;
                 }
                 let reconnect = had_session;
                 had_session = true;
                 conn = Some(s);
-                if reconnect && side.recovery_enabled() {
+                if reconnect && inner.cfg.recovery.enabled {
                     // The peer may have restarted from scratch: replay
                     // every incomplete transfer ahead of the frame in
                     // hand (duplicates are idempotent at the receiver).
-                    let summary =
-                        side.with_retention(local, dst, |r| r.replay(Instant::now(), None));
-                    if summary.transfers > 0 {
-                        side.counters()
-                            .recovered_transfers
-                            .fetch_add(summary.transfers, Ordering::Relaxed);
-                        side.counters()
-                            .resumed_from_mark
-                            .fetch_add(summary.resumed_from_mark_bytes, Ordering::Relaxed);
-                        for f in summary.frames {
-                            backlog.push_back(f);
-                        }
+                    let replay = take_replay(&inner, local, dst, None);
+                    if !replay.is_empty() {
+                        backlog.extend(replay);
                         backlog.push_back(msg);
                         continue 'frames;
                     }
                 }
             }
-            // Shaped transfer time, mirroring the in-process shipper:
-            // latency once per transfer plus serialization delay.
-            let link = side.link();
-            if msg.starts_transfer() && link.latency > Duration::ZERO {
-                thread::sleep(link.latency);
-            }
-            if let Some(bw) = link.bandwidth_bytes_per_sec {
-                if bw > 0.0 {
+            let stream = conn.as_mut().expect("connected above");
+            if shaped {
+                // Shaped transfer time, mirroring the in-process shipper:
+                // latency once per transfer plus serialization delay —
+                // per frame, so ship per frame.
+                if msg.starts_transfer() {
+                    thread::sleep(link.latency);
+                }
+                if let Some(bw) = link.bandwidth_bytes_per_sec.filter(|bw| *bw > 0.0) {
                     thread::sleep(Duration::from_secs_f64(msg.wire_bytes() as f64 / bw));
                 }
-            }
-            let stream = conn.as_mut().expect("connected above");
-            let shaped = link.latency > Duration::ZERO || link.bandwidth_bytes_per_sec.is_some();
-            if shaped {
-                // Shaping is per frame, so ship per frame.
                 match write_frame(stream, &frame_of(&msg)) {
                     Ok(()) => continue 'frames,
                     Err(_) => conn = None, // redial, retry the same frame
@@ -688,34 +495,23 @@ fn link_agent(
             batch.extend(backlog.drain(..backlog.len().min(SHIPPER_BATCH - 1)));
             let queued_from = batch.len();
             let _ = rx.try_drain(&mut batch, SHIPPER_BATCH - queued_from);
-            for m in &batch[queued_from..] {
-                if matches!(m, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
-                    side.depth_add(local, dst, -1);
-                }
-            }
+            batch[queued_from..].iter().for_each(dequeued);
             stage.clear();
-            let mut failed = false;
+            let mut sent = Ok(());
             for m in &batch {
                 if m.wire_bytes() <= STAGED_FRAME_BYTES {
                     encode_into(&frame_of(m), &mut stage);
                     continue;
                 }
-                if !stage.is_empty() {
-                    if stream.write_all(&stage).is_err() {
-                        failed = true;
-                        break;
-                    }
-                    stage.clear();
-                }
-                if write_frame(stream, &frame_of(m)).is_err() {
-                    failed = true;
+                sent = stream
+                    .write_all(&stage)
+                    .and_then(|()| write_frame(stream, &frame_of(m)));
+                stage.clear();
+                if sent.is_err() {
                     break;
                 }
             }
-            if !failed && !stage.is_empty() && stream.write_all(&stage).is_err() {
-                failed = true;
-            }
-            if failed {
+            if sent.and_then(|()| stream.write_all(&stage)).is_err() {
                 // Redial and retry the whole burst; receivers dedup
                 // any prefix that did land (same idempotence that
                 // absorbs recovery replays).
@@ -725,44 +521,6 @@ fn link_agent(
                 }
             }
             continue 'frames;
-        }
-    }
-}
-
-/// The per-process retransmit sweep (the wire-mode replacement of the
-/// in-process recovery daemon): periodically replays transfers whose
-/// acks have gone stale for longer than the recovery timeout, feeding
-/// the frames back through the link agents. Heals frames lost to
-/// chaos drops, kernel buffers of a killed peer, or torn connections.
-fn retransmit_pump(side: Side, local: usize, out: Vec<Option<Sender<NetMsg>>>) {
-    let timeout = side.retransmit_timeout();
-    let tick = (timeout / 2)
-        .max(Duration::from_millis(1))
-        .min(Duration::from_millis(25));
-    while !side.shutting_down() {
-        thread::sleep(tick);
-        for (dst, tx) in out.iter().enumerate() {
-            let Some(tx) = tx else { continue };
-            let summary =
-                side.with_retention(local, dst, |r| r.replay(Instant::now(), Some(timeout)));
-            if summary.transfers == 0 {
-                continue;
-            }
-            side.counters()
-                .retransmitted
-                .fetch_add(summary.transfers, Ordering::Relaxed);
-            for msg in summary.frames {
-                side.counters()
-                    .replayed_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                side.counters()
-                    .replayed_bytes
-                    .fetch_add(msg.wire_bytes() as u64, Ordering::Relaxed);
-                side.depth_add(local, dst, 1);
-                if tx.send(msg).is_err() {
-                    return;
-                }
-            }
         }
     }
 }
@@ -834,13 +592,29 @@ impl CkptLog {
     }
 }
 
-/// One inbound connection at a worker: the first frame must be the
-/// peer's `Hello` (identifying the source endpoint); data frames are
-/// logged, then run through fault injection into the normal ingress;
-/// ack frames apply directly to local retention (acks bypass chaos —
-/// a lost ack is healed by the retransmit pump anyway). A decode error
-/// drops the connection; retention replays whatever was in flight.
-fn worker_reader(inner: Arc<Inner>, log: Arc<CkptLog>, mut stream: TcpStream, local: usize) {
+/// Accepts inbound data connections for the life of the process, one
+/// [`reader`] thread each. `log` is the worker's checkpoint log; the
+/// client endpoint keeps none (it is never restarted).
+fn accept_loop(listener: TcpListener, inner: Arc<Inner>, log: Option<Arc<CkptLog>>) {
+    for conn in listener.incoming() {
+        if inner.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        let Ok(stream) = conn else { continue };
+        let (inner, log) = (Arc::clone(&inner), log.clone());
+        thread::spawn(move || reader(inner, log, stream));
+    }
+}
+
+/// One inbound connection: the first frame must be the peer's `Hello`
+/// (identifying the source endpoint); data frames are logged (where a
+/// checkpoint log is kept), then run through fault injection into the
+/// runtime's ingress; ack frames apply directly to local retention (acks
+/// bypass chaos — a lost ack is healed by the retransmit sweep anyway).
+/// A decode error drops the connection; retention replays whatever was
+/// in flight.
+fn reader(inner: Arc<Inner>, log: Option<Arc<CkptLog>>, mut stream: TcpStream) {
+    let local = inner.wire.as_ref().expect("wire endpoint").local;
     let _ = stream.set_nodelay(true);
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
@@ -855,9 +629,11 @@ fn worker_reader(inner: Arc<Inner>, log: Arc<CkptLog>, mut stream: TcpStream, lo
             match dec.next_frame() {
                 Ok(Some(Frame::Hello { node, .. })) => src = Some(node as usize),
                 Ok(Some(frame)) => {
-                    let Some(src) = src else { return };
+                    let Some(src) = src.filter(|s| *s < inner.nodes.len()) else {
+                        return;
+                    };
                     let data = matches!(frame, Frame::Whole { .. } | Frame::Chunk { .. });
-                    if data {
+                    if let (true, Some(log)) = (data, &log) {
                         log.append(src as u32, &frame);
                     }
                     let Some(msg) = net_of(frame) else { continue };
@@ -865,184 +641,6 @@ fn worker_reader(inner: Arc<Inner>, log: Arc<CkptLog>, mut stream: TcpStream, lo
                         chaos_ingress(&inner, src, local, msg);
                     } else {
                         handle_net_msg(&inner, src, local, msg);
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// Client-side state of one in-flight request at the coordinator.
-struct CoordReq {
-    outputs_missing: usize,
-    outputs: Vec<(String, Bytes)>,
-    errors: Vec<String>,
-    /// Client-output edges already collected — a restarted worker's log
-    /// replay re-fires its functions and re-ships outputs, so arrival
-    /// must be deduplicated per edge for byte-identical results.
-    delivered: HashSet<EdgeId>,
-    partial: HashMap<(EdgeId, u64), Reassembler>,
-    finished: HashSet<(EdgeId, u64)>,
-}
-
-/// State shared between the coordinator's agents, readers and API —
-/// the coordinator runs no `ClusterRuntime`, so its client-side §6.2
-/// retention and counters live here.
-struct CoordShared {
-    workflow: Arc<Workflow>,
-    link: LinkConfig,
-    recovery_enabled: bool,
-    retransmit_timeout: Duration,
-    interval: usize,
-    counters: Counters,
-    shutdown: AtomicBool,
-    /// Retention of the directed link `coordinator → worker k`.
-    retention: Vec<Mutex<LinkRetention>>,
-    reqs: Mutex<HashMap<u64, CoordReq>>,
-    done: Condvar,
-}
-
-/// What one chunk advanced a client-output transfer to (the
-/// coordinator-side mirror of the runtime's ingress progress).
-enum OutputProgress {
-    Orphan,
-    Complete(Bytes),
-    Prefix(usize),
-}
-
-fn coord_ingress(shared: &CoordShared, out: &[Sender<NetMsg>], src: usize, msg: NetMsg) {
-    match msg {
-        NetMsg::AckMark { transfer, mark } => {
-            if shared.recovery_enabled {
-                let advanced = shared.retention[src]
-                    .lock()
-                    .expect("retention lock poisoned")
-                    .ack_mark(transfer, mark);
-                if let Some(prev) = advanced {
-                    let cp = CheckpointSchedule::new(shared.interval as f64);
-                    shared.counters.acked_marks.fetch_add(
-                        cp.marks_crossed(prev as f64, mark as f64),
-                        Ordering::Relaxed,
-                    );
-                }
-            }
-        }
-        NetMsg::AckComplete { transfer } => {
-            if shared.recovery_enabled {
-                shared.retention[src]
-                    .lock()
-                    .expect("retention lock poisoned")
-                    .ack_complete(transfer);
-            }
-        }
-        NetMsg::Whole {
-            req,
-            edge,
-            transfer,
-            payload,
-            ..
-        } => {
-            finish_output(shared, req, edge, payload);
-            ack_to(shared, out, src, NetMsg::AckComplete { transfer });
-        }
-        NetMsg::Chunk {
-            req,
-            edge,
-            transfer,
-            offset,
-            total,
-            bytes,
-            ..
-        } => {
-            let progress = {
-                let mut reqs = shared.reqs.lock().expect("coordinator lock poisoned");
-                match reqs.get_mut(&req) {
-                    // Collected or never invoked: ack it away so the
-                    // sender's retention cannot leak.
-                    None => OutputProgress::Orphan,
-                    Some(rs) => {
-                        if rs.finished.contains(&(edge, transfer)) {
-                            OutputProgress::Orphan
-                        } else {
-                            let r = rs
-                                .partial
-                                .entry((edge, transfer))
-                                .or_insert_with(|| Reassembler::new(total));
-                            r.write_bytes(offset, bytes);
-                            if r.complete() {
-                                rs.finished.insert((edge, transfer));
-                                match rs.partial.remove(&(edge, transfer)) {
-                                    Some(r) => OutputProgress::Complete(r.into_bytes()),
-                                    None => OutputProgress::Orphan,
-                                }
-                            } else {
-                                OutputProgress::Prefix(r.contiguous_prefix())
-                            }
-                        }
-                    }
-                }
-            };
-            match progress {
-                OutputProgress::Orphan => {
-                    ack_to(shared, out, src, NetMsg::AckComplete { transfer })
-                }
-                OutputProgress::Complete(payload) => {
-                    finish_output(shared, req, edge, payload);
-                    ack_to(shared, out, src, NetMsg::AckComplete { transfer });
-                }
-                OutputProgress::Prefix(prefix) => {
-                    let mark = (prefix / shared.interval) * shared.interval;
-                    if mark > 0 {
-                        ack_to(shared, out, src, NetMsg::AckMark { transfer, mark });
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn ack_to(shared: &CoordShared, out: &[Sender<NetMsg>], src: usize, ack: NetMsg) {
-    if shared.recovery_enabled {
-        if let Some(tx) = out.get(src) {
-            let _ = tx.send(ack);
-        }
-    }
-}
-
-fn finish_output(shared: &CoordShared, req: u64, edge: EdgeId, payload: Bytes) {
-    let mut reqs = shared.reqs.lock().expect("coordinator lock poisoned");
-    let Some(rs) = reqs.get_mut(&req) else { return };
-    if !rs.delivered.insert(edge) {
-        return; // duplicate after a worker's log replay
-    }
-    let name = shared.workflow.edge(edge).data_name.clone();
-    rs.outputs.push((name, payload));
-    rs.outputs_missing = rs.outputs_missing.saturating_sub(1);
-    if rs.outputs_missing == 0 {
-        shared.done.notify_all();
-    }
-}
-
-fn coord_reader(shared: Arc<CoordShared>, out: Vec<Sender<NetMsg>>, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let mut dec = Decoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut src: Option<usize> = None;
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        dec.feed(&buf[..n]);
-        loop {
-            match dec.next_frame() {
-                Ok(Some(Frame::Hello { node, .. })) => src = Some(node as usize),
-                Ok(Some(frame)) => {
-                    let Some(src) = src else { return };
-                    if let Some(msg) = net_of(frame) {
-                        coord_ingress(&shared, &out, src, msg);
                     }
                 }
                 Ok(None) => break,
@@ -1063,24 +661,13 @@ struct WorkerSlot {
 }
 
 /// The coordinator's control-plane state, shared with the heartbeat
-/// thread (wire-mode ε-CON): the worker control channels, the **live**
-/// placement (repatched by relocation — the coordinator-side routing
-/// authority for client inputs), per-node loss flags and the outbound
-/// data queues.
+/// thread (wire-mode ε-CON): the worker control channels plus the client
+/// endpoint's runtime, whose **live** placement (repatched by
+/// relocation) is the routing authority for client inputs and whose
+/// per-node `lost` flags fence relocated workers.
 struct CoordCtl {
-    workflow: Arc<Workflow>,
-    placement: RwLock<Placement>,
-    shared: Arc<CoordShared>,
+    inner: Arc<Inner>,
     workers: Vec<Mutex<WorkerSlot>>,
-    /// Nodes declared permanently lost (relocated away, never pinged or
-    /// restarted again). Swap-guarded so relocation runs exactly once.
-    lost: Vec<AtomicBool>,
-    /// Senders into the per-worker link-agent queues. Behind a mutex so
-    /// shutdown can drop them (agent `recv` disconnect is the exit
-    /// signal).
-    out: Mutex<Vec<Sender<NetMsg>>>,
-    heartbeat_interval: Duration,
-    miss_threshold: u32,
 }
 
 impl CoordCtl {
@@ -1114,31 +701,30 @@ impl CoordCtl {
 /// served by a dedicated loop that answers pings regardless of
 /// data-plane load, so only a dead process (or torn socket) misses.
 fn coord_heartbeat(ctl: Arc<CoordCtl>) {
+    let inner = &ctl.inner;
+    let threshold = inner.cfg.heartbeat_miss_threshold.max(1);
     let mut misses = vec![0u32; ctl.workers.len()];
     loop {
-        thread::sleep(ctl.heartbeat_interval);
-        if ctl.shared.shutdown.load(Ordering::Relaxed) {
+        thread::sleep(inner.cfg.heartbeat_interval);
+        if inner.shutdown.load(Ordering::Relaxed) {
             return;
         }
         for (k, miss) in misses.iter_mut().enumerate() {
-            if ctl.lost[k].load(Ordering::SeqCst) {
+            if inner.nodes[k].lost.load(Ordering::SeqCst) {
                 continue;
             }
             match ctl.rpc(k, "{\"op\":\"ping\"}") {
                 Some(_) => {
                     *miss = 0;
-                    ctl.shared
-                        .counters
-                        .heartbeats
-                        .fetch_add(1, Ordering::Relaxed);
+                    inner.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {
                     *miss += 1;
-                    ctl.shared
+                    inner
                         .counters
                         .heartbeat_misses
                         .fetch_add(1, Ordering::Relaxed);
-                    if *miss >= ctl.miss_threshold {
+                    if *miss >= threshold {
                         *miss = 0;
                         coord_relocate(&ctl, k);
                     }
@@ -1159,53 +745,43 @@ fn coord_heartbeat(ctl: Arc<CoordCtl>) {
 /// 2. broadcast `resend` — every survivor re-homes its retained
 ///    transfers that pointed at the dead node and re-sends them from
 ///    byte 0 (the dead node's reassembly state died with it);
-/// 3. the coordinator re-sends its own retained client inputs the same
-///    way.
+/// 3. the coordinator re-homes its own retained client inputs through
+///    the same `rehome_retention`.
 ///
 /// Exactly-once via the `lost` swap-guard; a second kill of the same
 /// node (or a kill with no survivors) is a no-op.
-fn coord_relocate(ctl: &Arc<CoordCtl>, dead: usize) {
+fn coord_relocate(ctl: &CoordCtl, dead: usize) {
+    let inner = &ctl.inner;
     let live: Vec<usize> = (0..ctl.workers.len())
-        .filter(|k| *k != dead && !ctl.lost[*k].load(Ordering::SeqCst))
+        .filter(|k| *k != dead && !inner.nodes[*k].lost.load(Ordering::SeqCst))
         .collect();
     if live.is_empty() {
         return;
     }
-    if ctl.lost[dead].swap(true, Ordering::SeqCst) {
+    if inner.nodes[dead].lost.swap(true, Ordering::SeqCst) {
         return;
     }
-    ctl.shared
-        .counters
-        .node_losses
-        .fetch_add(1, Ordering::Relaxed);
+    inner.counters.node_losses.fetch_add(1, Ordering::Relaxed);
     let mut pressure = vec![0.0f64; ctl.workers.len()];
     for &k in &live {
         if let Some(v) = ctl.rpc(k, "{\"op\":\"pressure\"}") {
             pressure[k] = v.get("pressure").and_then(|x| x.as_f64()).unwrap_or(0.0);
         }
     }
-    let moves: Vec<(String, usize)> = {
-        let p = ctl.placement.read().expect("placement lock poisoned");
-        ctl.workflow
-            .function_ids()
-            .filter_map(|f| {
-                let name = &ctl.workflow.function(f).name;
-                (p.node_of(name) == dead)
-                    .then(|| (name.clone(), fallback_relocate(&live, &pressure)))
-            })
-            .collect()
-    };
+    let wf = &inner.workflow;
+    let mut assign = Vec::new();
     {
-        let mut p = ctl.placement.write().expect("placement lock poisoned");
-        for (name, to) in &moves {
-            p.reassign(name.clone(), *to);
+        let mut p = inner.placement.write().expect("placement lock poisoned");
+        for f in wf.function_ids() {
+            let name = &wf.function(f).name;
+            if p.node_of(name) == dead {
+                let to = fallback_relocate(&live, &pressure);
+                p.reassign(name.clone(), to);
+                assign.push(format!("\"{name}\":{to}"));
+            }
         }
     }
-    let assign = moves
-        .iter()
-        .map(|(n, t)| format!("\"{n}\":{t}"))
-        .collect::<Vec<_>>()
-        .join(",");
+    let assign = assign.join(",");
     let relocate = format!("{{\"op\":\"relocate\",\"dead\":{dead},\"assign\":{{{assign}}}}}");
     for &k in &live {
         let _ = ctl.rpc(k, &relocate);
@@ -1214,83 +790,23 @@ fn coord_relocate(ctl: &Arc<CoordCtl>, dead: usize) {
     for &k in &live {
         let _ = ctl.rpc(k, &resend);
     }
-    coord_resend(ctl, dead);
-}
-
-/// Phase 3 of [`coord_relocate`]: the coordinator's retained client
-/// inputs toward the dead node are re-homed per the repatched placement
-/// and re-sent whole (the workers' counterpart is `resend_toward`).
-fn coord_resend(ctl: &Arc<CoordCtl>, dead: usize) {
-    let shared = &ctl.shared;
-    if !shared.recovery_enabled {
-        return;
-    }
-    let moved = shared.retention[dead]
-        .lock()
-        .expect("retention lock poisoned")
-        .extract(|_| true);
-    if moved.is_empty() {
-        return;
-    }
-    let mut by_dst: HashMap<usize, Vec<u64>> = HashMap::new();
-    {
-        let p = ctl.placement.read().expect("placement lock poisoned");
-        for (id, t) in moved {
-            let dst = match ctl.workflow.edge(t.edge).target {
-                Endpoint::Function(tf) => p.node_of(&ctl.workflow.function(tf).name),
-                Endpoint::Client => continue,
-            };
-            if dst == dead {
-                shared.retention[dead]
-                    .lock()
-                    .expect("retention lock poisoned")
-                    .adopt(id, t, false);
-                continue;
-            }
-            shared.retention[dst]
-                .lock()
-                .expect("retention lock poisoned")
-                .adopt(id, t, true);
-            by_dst.entry(dst).or_default().push(id);
-        }
-    }
-    let out = ctl.out.lock().expect("out lock poisoned");
-    for (dst, ids) in by_dst {
-        let summary = shared.retention[dst]
-            .lock()
-            .expect("retention lock poisoned")
-            .replay_ids(Instant::now(), &ids);
-        shared
-            .counters
-            .recovered_transfers
-            .fetch_add(summary.transfers, Ordering::Relaxed);
-        let Some(tx) = out.get(dst) else { continue };
-        for msg in summary.frames {
-            shared
-                .counters
-                .replayed_frames
-                .fetch_add(1, Ordering::Relaxed);
-            shared
-                .counters
-                .replayed_bytes
-                .fetch_add(msg.wire_bytes() as u64, Ordering::Relaxed);
-            let _ = tx.send(msg);
-        }
-    }
+    rehome_retention(inner, dead);
 }
 
 /// A multi-process cluster over real TCP sockets: the coordinator side.
 ///
 /// [`TcpCluster::launch`] spawns one OS process per node (re-executing
 /// the current binary — see [`worker_env`]), exchanges the port map
-/// over a control channel, and then plays the client role of the
-/// in-process [`ClusterRuntime`](crate::ClusterRuntime): it ships
-/// request inputs in as retained wire frames and collects the outputs
-/// the workers ship back. [`TcpCluster::kill_worker`] delivers a real
-/// `SIGKILL` — the ultimate `crash_node` — and
-/// [`TcpCluster::restart_worker`] brings the node back as a fresh
-/// process that replays its checkpoint log, with every sender resuming
-/// its un-acked transfers from the last acknowledged §6.2 mark.
+/// over a control channel, and then **is the client endpoint** of the
+/// same runtime the workers run: requests are invoked, awaited and
+/// abandoned by the client code of the in-process
+/// [`ClusterRuntime`], whose inputs leave as retained wire frames and
+/// whose outputs the workers ship back — plus a `purge` broadcast that
+/// releases a finished request on every worker.
+/// [`TcpCluster::kill_worker`] delivers a real `SIGKILL` — the ultimate
+/// `crash_node` — and [`TcpCluster::restart_worker`] brings the node back
+/// as a fresh process that replays its checkpoint log, with every sender
+/// resuming its un-acked transfers from the last acknowledged §6.2 mark.
 ///
 /// With [`ClusterRtConfig::orchestrator`] set (see
 /// [`ClusterConfig::heartbeat`](crate::ClusterConfig::heartbeat)), the
@@ -1300,6 +816,8 @@ fn coord_resend(ctl: &Arc<CoordCtl>, dead: usize) {
 /// onto the least-pressured survivors — a worker lost to `kill -9`
 /// mid-run is healed without ever restarting its process.
 pub struct TcpCluster {
+    /// The client endpoint of the cluster's runtime.
+    rt: ClusterRuntime,
     ctl: Arc<CoordCtl>,
     control: TcpListener,
     control_port: u16,
@@ -1308,10 +826,7 @@ pub struct TcpCluster {
     tag: String,
     addrs: Vec<Arc<AddrCell>>,
     agents: Vec<thread::JoinHandle<()>>,
-    pump: Option<thread::JoinHandle<()>>,
     heartbeat: Option<thread::JoinHandle<()>>,
-    next_req: AtomicU64,
-    next_transfer: AtomicU64,
 }
 
 fn spawn_worker(
@@ -1331,12 +846,20 @@ fn spawn_worker(
         .spawn()
 }
 
-/// Accepts one worker's control connection and reads its hello line.
+/// Accepts one worker's control connection and reads its hello line,
+/// both inside `deadline` — a peer that never connects, or connects and
+/// never speaks, must not hang the launch.
 /// Returns `(writer, reader, node, epoch, data_port)`.
 fn accept_hello(
     listener: &TcpListener,
     deadline: Instant,
 ) -> io::Result<(TcpStream, BufReader<TcpStream>, usize, u32, u16)> {
+    let timed_out = || {
+        io::Error::new(
+            io::ErrorKind::TimedOut,
+            "worker never introduced itself on the control channel",
+        )
+    };
     listener.set_nonblocking(true)?;
     let stream = loop {
         match listener.accept() {
@@ -1344,10 +867,7 @@ fn accept_hello(
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
                     let _ = listener.set_nonblocking(false);
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "worker never connected to the control channel",
-                    ));
+                    return Err(timed_out());
                 }
                 thread::sleep(Duration::from_millis(5));
             }
@@ -1359,10 +879,20 @@ fn accept_hello(
     };
     listener.set_nonblocking(false)?;
     let _ = stream.set_nodelay(true); // RPC round trips must not hit Nagle
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(timed_out());
+    }
+    stream.set_read_timeout(Some(left))?;
     let w = stream.try_clone()?;
     let mut r = BufReader::new(stream);
     let mut line = String::new();
-    r.read_line(&mut line)?;
+    r.read_line(&mut line).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => timed_out(),
+        _ => e,
+    })?;
+    // RPC replies may take as long as the worker needs.
+    r.get_ref().set_read_timeout(None)?;
     let v = json::parse(&line)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad hello: {e}")))?;
     Ok((
@@ -1395,9 +925,17 @@ impl TcpCluster {
         tag: &str,
     ) -> io::Result<TcpCluster> {
         let nodes = placement.node_count();
-        assert!(nodes >= 1, "cluster needs at least one node");
         assert!(nodes < 255, "endpoint ids must fit transfer namespacing");
-        let coord = nodes;
+        let spec = WireSpec {
+            local: nodes,
+            epoch: 0,
+        };
+        let (rt, out_rx) = ClusterRuntimeBuilder::new(workflow)
+            .placement(placement)
+            .config(cfg)
+            .start_wire(spec)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let inner = Arc::clone(&rt.inner);
 
         let control = TcpListener::bind("127.0.0.1:0")?;
         let control_port = control.local_addr()?.port();
@@ -1449,88 +987,27 @@ impl TcpCluster {
             writeln!(slot.ctrl_w, "{peer_table}")?;
         }
 
-        let shared = Arc::new(CoordShared {
-            workflow: Arc::clone(&workflow),
-            link: cfg.link.clone(),
-            recovery_enabled: cfg.recovery.enabled,
-            retransmit_timeout: cfg.recovery.retransmit_timeout,
-            interval: cfg.checkpoint_interval_bytes,
-            counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
-            retention: (0..nodes)
-                .map(|_| {
-                    let mut r = LinkRetention::default();
-                    // Orchestrator mode: a relocated function's new host
-                    // needs the client inputs from byte 0, so completed
-                    // transfers stay replayable until their request is
-                    // collected.
-                    r.set_retain_acked(cfg.orchestrator);
-                    Mutex::new(r)
-                })
-                .collect(),
-            reqs: Mutex::new(HashMap::new()),
-            done: Condvar::new(),
-        });
-
-        let mut out = Vec::with_capacity(nodes);
-        let mut pump_out: Vec<Option<Sender<NetMsg>>> = Vec::with_capacity(nodes);
-        let mut addrs = Vec::with_capacity(nodes);
-        let mut agents = Vec::with_capacity(nodes);
-        for (k, slot) in slots.iter().enumerate() {
-            let (tx, rx) = bounded::<NetMsg>(cfg.link.queue_capacity);
-            pump_out.push(Some(tx.clone()));
-            out.push(tx);
-            let addr = Arc::new(AddrCell::new(Some(loopback(slot.port))));
-            addrs.push(Arc::clone(&addr));
-            let side = Side::Coord(Arc::clone(&shared));
-            agents.push(thread::spawn(move || {
-                link_agent(side, coord, k, 0, rx, addr)
-            }));
-        }
-
+        let addrs: Vec<Arc<AddrCell>> = slots
+            .iter()
+            .map(|slot| Arc::new(AddrCell::new(loopback(slot.port))))
+            .collect();
+        let agents = spawn_agents(&inner, spec, out_rx, &addrs);
         {
-            let shared = Arc::clone(&shared);
-            let out = out.clone();
-            thread::spawn(move || {
-                for conn in data.incoming() {
-                    if shared.shutdown.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let shared = Arc::clone(&shared);
-                    let out = out.clone();
-                    thread::spawn(move || coord_reader(shared, out, stream));
-                }
-            });
+            let inner = Arc::clone(&inner);
+            thread::spawn(move || accept_loop(data, inner, None));
         }
-
-        let pump = if cfg.recovery.enabled {
-            let side = Side::Coord(Arc::clone(&shared));
-            Some(thread::spawn(move || {
-                retransmit_pump(side, coord, pump_out)
-            }))
-        } else {
-            None
-        };
 
         let ctl = Arc::new(CoordCtl {
-            workflow,
-            placement: RwLock::new(placement),
-            shared,
+            inner,
             workers: slots.into_iter().map(Mutex::new).collect(),
-            lost: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            out: Mutex::new(out),
-            heartbeat_interval: cfg.heartbeat_interval,
-            miss_threshold: cfg.heartbeat_miss_threshold.max(1),
         });
-        let heartbeat = if cfg.orchestrator {
+        let heartbeat = ctl.inner.cfg.orchestrator.then(|| {
             let ctl = Arc::clone(&ctl);
-            Some(thread::spawn(move || coord_heartbeat(ctl)))
-        } else {
-            None
-        };
+            thread::spawn(move || coord_heartbeat(ctl))
+        });
 
         Ok(TcpCluster {
+            rt,
             ctl,
             control,
             control_port,
@@ -1539,10 +1016,7 @@ impl TcpCluster {
             tag: tag.to_string(),
             addrs,
             agents,
-            pump,
             heartbeat,
-            next_req: AtomicU64::new(0),
-            next_transfer: AtomicU64::new(worker_transfer_base(coord, 0)),
         })
     }
 
@@ -1558,17 +1032,13 @@ impl TcpCluster {
     ///
     /// Panics if the workflow has no function `name`.
     pub fn node_of(&self, name: &str) -> usize {
-        self.ctl
-            .placement
-            .read()
-            .expect("placement lock poisoned")
-            .node_of(name)
+        self.rt.node_of(name)
     }
 
     /// True once `node` was declared permanently lost (its functions
     /// relocated to the survivors).
     pub fn worker_lost(&self, node: usize) -> bool {
-        self.ctl.lost[node].load(Ordering::SeqCst)
+        self.ctl.inner.nodes[node].lost.load(Ordering::SeqCst)
     }
 
     /// Declares `node` permanently lost right now — the manual override
@@ -1586,86 +1056,29 @@ impl TcpCluster {
     /// ships each input to its destination node as a retained wire
     /// frame. Returns immediately; collect with [`TcpCluster::wait`].
     pub fn invoke(&self, inputs: Vec<(String, Bytes)>) -> ReqId {
-        let req = ReqId(self.next_req.fetch_add(1, Ordering::Relaxed));
-        let wf = &self.ctl.workflow;
-        let shared = &self.ctl.shared;
-        let active = resolve_active(wf, req.0);
-        let outputs_missing = wf
-            .client_outputs()
-            .filter(|e| active.edge_active(*e))
-            .count();
-        shared
-            .reqs
-            .lock()
-            .expect("coordinator lock poisoned")
-            .insert(
-                req.0,
-                CoordReq {
-                    outputs_missing,
-                    outputs: Vec::new(),
-                    errors: Vec::new(),
-                    delivered: HashSet::new(),
-                    partial: HashMap::new(),
-                    finished: HashSet::new(),
-                },
-            );
-        for (name, payload) in inputs {
-            let mut matched = false;
-            for eid in wf.client_inputs().collect::<Vec<_>>() {
-                let e = wf.edge(eid);
-                if e.data_name != name {
-                    continue;
-                }
-                matched = true;
-                if !active.edge_active(eid) {
-                    continue;
-                }
-                if let Endpoint::Function(dst) = e.target {
-                    let dst_node = self
-                        .ctl
-                        .placement
-                        .read()
-                        .expect("placement lock poisoned")
-                        .node_of(&wf.function(dst).name);
-                    let transfer = self.next_transfer.fetch_add(1, Ordering::Relaxed);
-                    let key = format!("{name}@$USER");
-                    if shared.recovery_enabled {
-                        shared.retention[dst_node]
-                            .lock()
-                            .expect("retention lock poisoned")
-                            .retain(
-                                transfer,
-                                req.0,
-                                eid,
-                                &key,
-                                payload.len(),
-                                false,
-                                0,
-                                payload.clone(),
-                            );
-                    }
-                    let out = self.ctl.out.lock().expect("out lock poisoned");
-                    if let Some(tx) = out.get(dst_node) {
-                        let _ = tx.send(NetMsg::Whole {
-                            req: req.0,
-                            edge: eid,
-                            key,
-                            transfer,
-                            payload: payload.clone(),
-                        });
-                    }
-                }
-            }
-            if !matched {
-                let mut reqs = shared.reqs.lock().expect("coordinator lock poisoned");
-                if let Some(rs) = reqs.get_mut(&req.0) {
-                    rs.errors
-                        .push(format!("no client input edge named `{name}`"));
-                }
-                shared.done.notify_all();
-            }
-        }
-        req
+        self.rt.invoke(inputs)
+    }
+
+    /// [`TcpCluster::invoke`] on behalf of `tenant`, subject to the
+    /// admission caps of [`ClusterRtConfig::admission`]; see
+    /// [`ClusterRuntime::try_invoke`].
+    ///
+    /// # Errors
+    ///
+    /// [`Rejected`] when the tenant (or the whole gate) is at its
+    /// in-flight cap; nothing is shipped in that case.
+    pub fn try_invoke(
+        &self,
+        tenant: &str,
+        inputs: Vec<(String, Bytes)>,
+    ) -> Result<ReqId, Rejected> {
+        self.rt.try_invoke(tenant, inputs)
+    }
+
+    /// Per-tenant admission counters; see
+    /// [`ClusterRuntime::tenant_stats`].
+    pub fn tenant_stats(&self) -> Vec<(String, TenantStats)> {
+        self.rt.tenant_stats()
     }
 
     /// Blocks until every client output of `req` arrived over the wire,
@@ -1674,44 +1087,28 @@ impl TcpCluster {
     ///
     /// # Errors
     ///
-    /// Same contract as the in-process `ClusterRuntime::wait`:
-    /// [`RtError::Timeout`], [`RtError::Faulted`],
-    /// [`RtError::UnknownRequest`].
+    /// The contract of [`ClusterRuntime::wait`]: [`RtError::Timeout`],
+    /// [`RtError::Faulted`], [`RtError::UnknownRequest`]. A timed-out or
+    /// faulted request stays tracked; abandon it with
+    /// [`TcpCluster::forget`].
     pub fn wait(&self, req: ReqId, timeout: Duration) -> Result<Vec<(String, Bytes)>, RtError> {
-        let deadline = Instant::now() + timeout;
-        let shared = &self.ctl.shared;
-        let mut reqs = shared.reqs.lock().expect("coordinator lock poisoned");
-        loop {
-            let rs = reqs.get(&req.0).ok_or(RtError::UnknownRequest)?;
-            if !rs.errors.is_empty() {
-                return Err(RtError::Faulted(rs.errors.join("; ")));
-            }
-            if rs.outputs_missing == 0 {
-                let rs = reqs.remove(&req.0).expect("checked above");
-                drop(reqs);
-                // Collection point: retain-acked retention (orchestrator
-                // mode) may only release a request's transfers now.
-                if shared.recovery_enabled {
-                    for r in &shared.retention {
-                        r.lock().expect("retention lock poisoned").purge_req(req.0);
-                    }
-                }
-                for k in 0..self.ctl.workers.len() {
-                    let _ = self
-                        .ctl
-                        .rpc(k, &format!("{{\"op\":\"purge\",\"req\":{}}}", req.0));
-                }
-                return Ok(rs.outputs);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RtError::Timeout);
-            }
-            reqs = shared
-                .done
-                .wait_timeout(reqs, deadline.saturating_duration_since(now))
-                .expect("coordinator lock poisoned")
-                .0;
+        let outputs = self.rt.wait(req, timeout)?;
+        self.purge_workers(req);
+        Ok(outputs)
+    }
+
+    /// Abandons a request: drops its state on the coordinator and every
+    /// live worker's parked inputs and reassembly buffers for it; see
+    /// [`ClusterRuntime::forget`].
+    pub fn forget(&self, req: ReqId) {
+        self.rt.forget(req);
+        self.purge_workers(req);
+    }
+
+    fn purge_workers(&self, req: ReqId) {
+        let line = format!("{{\"op\":\"purge\",\"req\":{}}}", req.id());
+        for k in 0..self.ctl.workers.len() {
+            let _ = self.ctl.rpc(k, &line);
         }
     }
 
@@ -1730,8 +1127,9 @@ impl TcpCluster {
     /// `victim` now guarantees its restart resumes mid-stream from a
     /// mark rather than byte 0.
     pub fn sender_mid_stream(&self, victim: usize, margin: usize) -> bool {
-        if self.ctl.shared.recovery_enabled
-            && self.ctl.shared.retention[victim]
+        let inner = &self.ctl.inner;
+        if inner.cfg.recovery.enabled
+            && retention_of(inner, self.node_count(), victim)
                 .lock()
                 .expect("retention lock poisoned")
                 .has_acked_partial(margin)
@@ -1769,7 +1167,7 @@ impl TcpCluster {
         drop(slot);
         if was_up {
             self.ctl
-                .shared
+                .inner
                 .counters
                 .node_crashes
                 .fetch_add(1, Ordering::Relaxed);
@@ -1793,7 +1191,7 @@ impl TcpCluster {
     ///
     /// Process-spawn or handshake failures.
     pub fn restart_worker(&self, node: usize) -> io::Result<()> {
-        if self.ctl.lost[node].load(Ordering::SeqCst) {
+        if self.worker_lost(node) {
             // The node's functions were relocated away; a fresh process
             // would rebuild the *original* placement from the tag and
             // fight the survivors for its old functions.
@@ -1848,7 +1246,7 @@ impl TcpCluster {
         }
         self.addrs[node].set(loopback(port));
         self.ctl
-            .shared
+            .inner
             .counters
             .node_restarts
             .fetch_add(1, Ordering::Relaxed);
@@ -1868,7 +1266,7 @@ impl TcpCluster {
     /// from every reachable worker. A killed worker's counters are
     /// lost with it — wire-mode totals cover the surviving processes.
     pub fn stats(&self) -> RtStats {
-        let mut total = self.ctl.shared.counters.snapshot();
+        let mut total = self.rt.stats();
         for k in 0..self.ctl.workers.len() {
             if let Some(v) = self.ctl.rpc(k, "{\"op\":\"stats\"}") {
                 if let Some(arr) = v.get("stats").and_then(|a| a.as_arr()) {
@@ -1891,7 +1289,7 @@ impl TcpCluster {
         // Flag first, then join the heartbeat: workers exiting on the
         // shutdown op must not read as missed beats and trigger a
         // relocation storm mid-teardown.
-        self.ctl.shared.shutdown.store(true, Ordering::SeqCst);
+        self.ctl.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(hb) = self.heartbeat.take() {
             let _ = hb.join();
         }
@@ -1905,13 +1303,11 @@ impl TcpCluster {
                 let _ = child.wait();
             }
         }
-        // Nudge the acceptor awake so it observes the flag and drops
-        // its queue senders; then the agents' queues disconnect.
+        // Nudge the acceptor awake so it observes the flag and exits.
         let _ = TcpStream::connect(self.data_addr);
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-        self.ctl.out.lock().expect("out lock poisoned").clear();
+        // The runtime's teardown drops the link rows; the agents' queues
+        // disconnect and they exit.
+        self.rt.shutdown();
         for agent in self.agents.drain(..) {
             let _ = agent.join();
         }
@@ -1922,9 +1318,40 @@ impl TcpCluster {
 impl std::fmt::Debug for TcpCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpCluster")
-            .field("workflow", &self.ctl.workflow.name())
+            .field("workflow", &self.ctl.inner.workflow.name())
             .field("nodes", &self.ctl.workers.len())
             .field("control_port", &self.control_port)
+            .field("retained", &self.rt.retained_transfers())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that connects to the control channel and never sends its
+    /// hello line must fail the handshake inside the deadline instead of
+    /// hanging `launch` / `restart_worker` on a blocking read.
+    #[test]
+    fn silent_peer_fails_the_hello_inside_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let silent = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let t0 = Instant::now();
+        let err = accept_hello(&listener, t0 + Duration::from_millis(150))
+            .expect_err("a silent peer has no hello to accept");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the read outlived its deadline: {:?}",
+            t0.elapsed()
+        );
+        // ... and a peer that does speak is still accepted afterwards.
+        let mut talker = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        writeln!(talker, "{{\"node\":1,\"epoch\":2,\"port\":3}}").expect("send hello");
+        let (_, _, node, epoch, port) =
+            accept_hello(&listener, Instant::now() + Duration::from_secs(5)).expect("hello");
+        assert_eq!((node, epoch, port), (1, 2, 3));
+        drop(silent);
     }
 }

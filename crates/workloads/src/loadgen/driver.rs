@@ -18,88 +18,77 @@ use std::time::{Duration, Instant};
 use dataflower_metrics::{Histogram, QuantileTimeline, Timeline};
 use dataflower_rt::channel::{self, Receiver, Sender};
 use dataflower_rt::{
-    AdmissionConfig, AdmissionGate, Bytes, ClusterRuntime, PlacementPolicy, Rejected, ReqId,
-    RtStats, TcpCluster, TenantStats,
+    AdmissionConfig, Bytes, ClusterRuntime, PlacementPolicy, Rejected, ReqId, RtStats, TcpCluster,
+    TenantStats,
 };
 use dataflower_sim::SimRng;
 
 use crate::common::{live_input, reference_output};
 use crate::live::live_runtime;
-use crate::socket::{launch_bench_cluster, TcpProfile};
+use crate::socket::{launch_gated_cluster, TcpProfile};
 use crate::spec::Transport;
 
 use super::{ArrivalProcess, LoadgenCell, ZipfSampler};
 
-/// One backend cluster serving a single benchmark, behind an admission
-/// gate. The in-process runtime gates natively via
-/// [`ClusterRuntime::try_invoke`]; the TCP cluster is fronted by a
-/// client-side [`AdmissionGate`] (its coordinator has no reject path of
-/// its own).
+/// One backend cluster serving a single benchmark, behind its own
+/// admission gate ([`ClusterRuntime::try_invoke`] /
+/// [`TcpCluster::try_invoke`] — the same client code on both media).
 #[allow(clippy::large_enum_variant)] // a handful per cell, never collected in bulk
 enum Target {
     Inproc(ClusterRuntime),
-    Tcp {
-        cluster: TcpCluster,
-        gate: AdmissionGate,
-    },
+    Tcp(TcpCluster),
 }
 
 impl Target {
     fn try_invoke(&self, tenant: &str, inputs: Vec<(String, Bytes)>) -> Result<ReqId, Rejected> {
         match self {
             Target::Inproc(rt) => rt.try_invoke(tenant, inputs),
-            Target::Tcp { cluster, gate } => {
-                gate.try_admit(tenant)?;
-                let req = cluster.invoke(inputs);
-                gate.bind(req.id(), tenant);
-                Ok(req)
-            }
+            Target::Tcp(cluster) => cluster.try_invoke(tenant, inputs),
         }
     }
 
-    /// Waits for `req` and releases its admission slot either way.
+    /// Waits for `req` and releases everything held for it either way:
+    /// a successful wait does so itself, a failed one is abandoned with
+    /// `forget` (request state, parked inputs and the admission slot).
     fn wait(&self, req: ReqId, timeout: Duration) -> Result<Vec<(String, Bytes)>, String> {
-        match self {
-            Target::Inproc(rt) => match rt.wait(req, timeout) {
-                Ok(outputs) => Ok(outputs), // wait's success path released the slot
-                Err(e) => {
-                    rt.forget(req); // drops request state and releases the slot
-                    Err(e.to_string())
-                }
-            },
-            Target::Tcp { cluster, gate } => {
-                let out = cluster.wait(req, timeout);
-                gate.finish(req.id(), out.is_ok());
-                out.map_err(|e| e.to_string())
+        let out = match self {
+            Target::Inproc(rt) => rt.wait(req, timeout),
+            Target::Tcp(cluster) => cluster.wait(req, timeout),
+        };
+        if out.is_err() {
+            match self {
+                Target::Inproc(rt) => rt.forget(req),
+                Target::Tcp(cluster) => cluster.forget(req),
             }
         }
+        out.map_err(|e| e.to_string())
     }
 
     fn tenant_stats(&self) -> Vec<(String, TenantStats)> {
         match self {
             Target::Inproc(rt) => rt.tenant_stats(),
-            Target::Tcp { gate, .. } => gate.tenant_stats(),
+            Target::Tcp(cluster) => cluster.tenant_stats(),
         }
     }
 
     fn stats(&self) -> RtStats {
         match self {
             Target::Inproc(rt) => rt.stats(),
-            Target::Tcp { cluster, .. } => cluster.stats(),
+            Target::Tcp(cluster) => cluster.stats(),
         }
     }
 
     fn node_count(&self) -> usize {
         match self {
             Target::Inproc(rt) => rt.node_count(),
-            Target::Tcp { cluster, .. } => cluster.node_count(),
+            Target::Tcp(cluster) => cluster.node_count(),
         }
     }
 
     fn shutdown(self) {
         match self {
             Target::Inproc(rt) => rt.shutdown(),
-            Target::Tcp { cluster, .. } => cluster.shutdown(),
+            Target::Tcp(cluster) => cluster.shutdown(),
         }
     }
 }
@@ -303,19 +292,16 @@ fn build_targets(cell: &LoadgenCell, bench_mix: &ZipfSampler) -> Vec<Target> {
                     };
                     Target::Inproc(live_runtime(bench, wf, placement, rt_cfg))
                 }
-                Transport::Tcp => {
-                    let cluster = launch_bench_cluster(
+                Transport::Tcp => Target::Tcp(
+                    launch_gated_cluster(
                         bench,
                         cell.nodes.max(1),
                         spec.seed ^ i as u64,
                         TcpProfile::Plain,
+                        admission,
                     )
-                    .expect("loadgen TCP cluster failed to launch");
-                    Target::Tcp {
-                        cluster,
-                        gate: AdmissionGate::new(admission),
-                    }
-                }
+                    .expect("loadgen TCP cluster failed to launch"),
+                ),
             }
         })
         .collect()

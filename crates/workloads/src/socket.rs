@@ -14,7 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dataflower_rt::{
-    ByLevel, ClusterRtConfig, CrashReport, PlacementPolicy, RecoveryConfig, TcpCluster,
+    AdmissionConfig, ByLevel, ClusterRtConfig, CrashReport, PlacementPolicy, RecoveryConfig,
+    TcpCluster,
 };
 use dataflower_workflow::json;
 
@@ -134,10 +135,28 @@ pub fn launch_bench_cluster(
     seed: u64,
     profile: TcpProfile,
 ) -> std::io::Result<TcpCluster> {
+    launch_gated_cluster(bench, nodes, seed, profile, AdmissionConfig::default())
+}
+
+/// [`launch_bench_cluster`] with per-tenant admission caps on the
+/// coordinator's ingress ([`TcpCluster::try_invoke`]). Admission is a
+/// client-side matter, so the workers' tag-derived config needs no part
+/// of it.
+pub(crate) fn launch_gated_cluster(
+    bench: Benchmark,
+    nodes: usize,
+    seed: u64,
+    profile: TcpProfile,
+    admission: AdmissionConfig,
+) -> std::io::Result<TcpCluster> {
     let wf = bench.workflow();
     let placement = ByLevel.initial(&wf, nodes);
     let tag = worker_tag(bench, nodes, seed, profile);
-    TcpCluster::launch(wf, placement, profile.rt_config(seed), &tag)
+    let cfg = ClusterRtConfig {
+        admission,
+        ..profile.rt_config(seed)
+    };
+    TcpCluster::launch(wf, placement, cfg, &tag)
 }
 
 /// The plain closed-loop TCP runner: `bench` as one OS process per node
