@@ -460,7 +460,9 @@ fn control_plane_benchmarks(h: &Harness) {
 /// through a real kernel socket; the cluster case is the full
 /// worker-process runtime end to end — spawn, Hello, stream, ack,
 /// shutdown — pinning the process-mode overhead the in-process fabric
-/// avoids.
+/// avoids (nearly all of it process spawn and teardown: see the README's
+/// bench table); the warm case times the request path alone, against a
+/// cluster launched once.
 fn socket_fabric_benchmarks(h: &Harness) {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
@@ -546,6 +548,31 @@ fn socket_fabric_benchmarks(h: &Harness) {
         cluster.shutdown();
         len
     });
+
+    // Launched by the untimed warm-up call, so the timed iterations are
+    // requests only (and a filtered-out row spawns nothing).
+    let mut warm = None;
+    let (name, input) = bench_input(Benchmark::Wc, 4 * 1024);
+    let input = Bytes::from(input);
+    h.run("socket_fabric", "tcp_request_warm_4k", || {
+        let cluster = warm.get_or_insert_with(|| {
+            launch_bench_cluster(Benchmark::Wc, 3, 0, TcpProfile::Plain)
+                .expect("launch TCP cluster")
+        });
+        let mut len = 0;
+        for _ in 0..64 {
+            let req = cluster.invoke(vec![(name.to_owned(), input.clone())]);
+            let outputs = cluster
+                .wait(req, std::time::Duration::from_secs(60))
+                .expect("TCP cluster request");
+            len += outputs[0].1.len();
+        }
+        assert!(len > 0);
+        len
+    });
+    if let Some(cluster) = warm {
+        cluster.shutdown();
+    }
 }
 
 /// Trace-codec benchmarks: the record/replay event stream of

@@ -156,6 +156,15 @@ pub(crate) enum NetMsg {
         /// The acknowledged transfer.
         transfer: u64,
     },
+    /// The client collected or abandoned `req`: the receiving node drops
+    /// everything it still tracks for it. Not a pipe transfer — never
+    /// counted, retained, acked or subjected to fault injection. Only
+    /// the client endpoint of a TCP cluster emits it (in-process the
+    /// client purges every node's sink directly).
+    Release {
+        /// The released request.
+        req: u64,
+    },
 }
 
 impl NetMsg {
@@ -163,7 +172,7 @@ impl NetMsg {
         match self {
             NetMsg::Whole { payload, .. } => payload.len(),
             NetMsg::Chunk { bytes, .. } => bytes.len(),
-            NetMsg::AckMark { .. } | NetMsg::AckComplete { .. } => 0,
+            NetMsg::AckMark { .. } | NetMsg::AckComplete { .. } | NetMsg::Release { .. } => 0,
         }
     }
 
@@ -171,7 +180,7 @@ impl NetMsg {
         match self {
             NetMsg::Whole { .. } => true,
             NetMsg::Chunk { offset, .. } => *offset == 0,
-            NetMsg::AckMark { .. } | NetMsg::AckComplete { .. } => false,
+            NetMsg::AckMark { .. } | NetMsg::AckComplete { .. } | NetMsg::Release { .. } => false,
         }
     }
 }

@@ -2460,6 +2460,8 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
         ack @ (NetMsg::AckMark { .. } | NetMsg::AckComplete { .. }) => {
             apply_ack(inner, dst_node, src, ack);
         }
+        // The client collected or abandoned the request.
+        NetMsg::Release { req } => purge_request(inner, req),
         NetMsg::Whole {
             req,
             edge,
@@ -2611,7 +2613,7 @@ fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
                 );
             }
         }
-        NetMsg::Whole { .. } | NetMsg::Chunk { .. } => {}
+        NetMsg::Whole { .. } | NetMsg::Chunk { .. } | NetMsg::Release { .. } => {}
     }
 }
 
@@ -2716,7 +2718,14 @@ fn ensure_seeded(inner: &Inner, node_id: usize, req: u64) {
 /// switched-off branches, reassembly buffers) and — in retain-acked mode,
 /// which parks completed transfers for relocation replay instead of
 /// freeing them on ack — its retained transfers. A wire endpoint also
-/// remembers the id so late frames cannot re-seed it.
+/// remembers the id so late frames cannot re-seed it, and the client
+/// endpoint of a TCP cluster passes the release on: one `Release` frame
+/// per worker on the outbound link queue, which leaves in the link
+/// agent's next staged burst — `wait`/`forget` never round-trip to a
+/// worker. A worker the coordinator knows is dead (`down`: killed and not
+/// yet restarted) has nothing to release and is skipped, so releases
+/// cannot fill its link queue and block the client (the agent toward a
+/// `lost` worker drains its queue without shipping).
 pub(crate) fn purge_request(inner: &Inner, req: u64) {
     if let Some(w) = &inner.wire {
         w.purged.lock().expect("purged lock poisoned").insert(req);
@@ -2727,6 +2736,13 @@ pub(crate) fn purge_request(inner: &Inner, req: u64) {
     if inner.cfg.orchestrator && inner.cfg.recovery.enabled {
         for r in inner.retention.iter() {
             r.lock().expect("retention lock poisoned").purge_req(req);
+        }
+    }
+    if let Some(w) = inner.wire.as_ref().filter(|w| w.local == w.client) {
+        for (worker, node) in inner.nodes[..w.client].iter().enumerate() {
+            if !node.down.load(Ordering::SeqCst) {
+                wire_send(inner, w, worker, NetMsg::Release { req });
+            }
         }
     }
 }

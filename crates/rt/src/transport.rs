@@ -21,18 +21,29 @@
 //!   direct calls, travel as explicit `AckMark` / `AckComplete` frames
 //!   over the reverse link.
 //! * What lives here is what is actually TCP: process spawn and the
-//!   hello handshake, the control RPC, one *link agent* thread per
-//!   outbound directed link (`link_agent`: lazily dials the destination,
-//!   writes a `Hello` preamble, ships frames zero-copy — header buffer +
-//!   [`Bytes`] payload view, no re-serialization — and
-//!   replays un-acked transfers when a reconnect succeeds), the inbound
-//!   decode loop (`reader`) and the checkpoint log.
-//! * Every data frame inbound to a worker is appended to its checkpoint
-//!   log **before** it is dispatched, so a `kill -9`'d worker restarted
-//!   by [`TcpCluster::restart_worker`] replays its durable ingress,
-//!   re-fires its functions idempotently, and the senders replay every
-//!   un-acked transfer from the last acknowledged checkpoint mark —
-//!   byte-identical outputs across a hard worker kill.
+//!   hello handshake, the control RPC (set-up, liveness, relocation,
+//!   probes and stats — nothing a request waits for), one *link agent*
+//!   thread per outbound directed link (`link_agent`: lazily dials the
+//!   destination, writes a `Hello` preamble, encodes each burst of small
+//!   frames straight into one staging buffer and ships it as one write,
+//!   large payloads zero-copy from their [`Bytes`] view, and replays
+//!   un-acked transfers when a reconnect succeeds), the inbound decode
+//!   loop (`reader`) and the checkpoint log.
+//! * A request's release is a frame, not a round trip: when the client
+//!   endpoint collects or abandons a request it queues one `Release` per
+//!   live worker on the same outbound links, where it leaves with the
+//!   agent's next burst.
+//! * The checkpoint log belongs to §6.2 recovery and exists only with it.
+//!   With [`RecoveryConfig`](crate::RecoveryConfig) enabled, the data and
+//!   `Release` frames of every socket read inbound to a worker are
+//!   appended to its log in one write **before** any of them is
+//!   dispatched, so a `kill -9`'d worker restarted by
+//!   [`TcpCluster::restart_worker`] replays its durable ingress (minus
+//!   the requests already released), re-fires its functions idempotently,
+//!   and the senders replay every un-acked transfer from the last
+//!   acknowledged checkpoint mark — byte-identical outputs across a hard
+//!   worker kill. Without recovery nothing is ever acked or retained, no
+//!   log is kept, and a restarted worker starts empty.
 //!
 //! The in-process fabric remains the default and the fast path; this
 //! module is opt-in for callers that want real process isolation (see
@@ -58,11 +69,11 @@ use crate::fabric::{NetMsg, SHIPPER_BATCH};
 use crate::node::Placement;
 use crate::orchestrator::{activate_pool, fallback_relocate, rehome_retention};
 use crate::runtime::{
-    chaos_ingress, depth_of, handle_net_msg, node_pressure_of, purge_request, retention_of,
-    take_replay, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId,
-    RtStats, WireSpec,
+    chaos_ingress, depth_of, handle_net_msg, node_pressure_of, retention_of, take_replay,
+    ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId, RtStats,
+    WireSpec,
 };
-use crate::wire::{encode_into, encode_parts, frame_of, net_of, Decoder, Frame};
+use crate::wire::{encode_msg, encode_parts, net_of, Decoder, Frame};
 
 const ENV_NODE: &str = "DATAFLOWER_WORKER_NODE";
 const ENV_EPOCH: &str = "DATAFLOWER_WORKER_EPOCH";
@@ -145,8 +156,8 @@ impl WorkerEnv {
     /// listener on an ephemeral port, report `{node, epoch, port}` over
     /// the control channel, receive the full `{ports: [...]}` peer
     /// table back (workers in node order, the coordinator's data port
-    /// last), then replay the checkpoint log of any previous
-    /// incarnation and start accepting peer connections.
+    /// last), then — with recovery on — replay the checkpoint log of any
+    /// previous incarnation, and start accepting peer connections.
     ///
     /// # Panics
     ///
@@ -193,20 +204,26 @@ impl WorkerEnv {
         assert_eq!(addrs.len(), endpoints, "peer table covers every endpoint");
         spawn_agents(&inner, spec, out_rx, &addrs);
 
-        // Replay the durable ingress of any previous incarnation before
-        // accepting new frames: re-fired functions are idempotent (the
-        // consumed-entry sentinel blocks double triggers downstream) and
-        // the re-emitted acks drain through the agents just spawned.
-        let log_path = self.dir.join(format!("node{}.log", self.node));
-        let (log, restored) = CkptLog::open(&log_path).expect("open checkpoint log");
-        for (src, frame) in restored {
-            if let Some(msg) = net_of(frame) {
-                handle_net_msg(&inner, src as usize, self.node, msg);
+        // The checkpoint log is half of §6.2 recovery, so it exists only
+        // with it: without retention nothing is ever acked, so nothing is
+        // owed to a next incarnation. With it, replay the durable ingress
+        // of any previous incarnation before accepting new frames:
+        // re-fired functions are idempotent (the consumed-entry sentinel
+        // blocks double triggers downstream) and the re-emitted acks
+        // drain through the agents just spawned.
+        let log = inner.cfg.recovery.enabled.then(|| {
+            let path = self.dir.join(format!("node{}.log", self.node));
+            let (log, restored) = CkptLog::open(&path).expect("open checkpoint log");
+            for (src, frame) in restored {
+                if let Some(msg) = net_of(frame) {
+                    handle_net_msg(&inner, src as usize, self.node, msg);
+                }
             }
-        }
+            Arc::new(log)
+        });
         {
             let inner = Arc::clone(&inner);
-            thread::spawn(move || accept_loop(listener, inner, Some(Arc::new(log))));
+            thread::spawn(move || accept_loop(listener, inner, log));
         }
 
         // Control request/reply loop — the coordinator serializes
@@ -299,10 +316,6 @@ impl WorkerEnv {
                         .join(",");
                     format!("{{\"stats\":[{vals}]}}")
                 }
-                "purge" => {
-                    purge_request(&inner, jnum(&v, "req"));
-                    "{\"ok\":true}".to_string()
-                }
                 "shutdown" => {
                     let _ = writeln!(control_w, "{{\"ok\":true}}");
                     let _ = control_w.flush();
@@ -369,16 +382,17 @@ fn spawn_agents(
         .collect()
 }
 
-/// Writes one frame to the stream: the fixed-size header buffer, then
-/// the payload as a second `write_all` straight from the zero-copy
-/// [`Bytes`] view — the payload bytes are never re-serialized.
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
-    let (head, payload) = encode_parts(frame);
-    stream.write_all(&head)?;
-    if let Some(p) = payload {
-        stream.write_all(&p)?;
-    }
-    Ok(())
+/// Ships `msg` with its payload uncopied: the header and fields join
+/// whatever run `stage` already holds and leave as one write, then the
+/// payload goes out as a second `write_all` straight from its zero-copy
+/// [`Bytes`] view. Leaves `stage` empty.
+fn write_split(stream: &mut TcpStream, stage: &mut Vec<u8>, msg: &NetMsg) -> io::Result<()> {
+    let payload = encode_msg(msg, stage);
+    let sent = stream
+        .write_all(stage)
+        .and_then(|()| payload.map_or(Ok(()), |p| stream.write_all(p)));
+    stage.clear();
+    sent
 }
 
 /// Frames up to this size (the sub-16 KiB direct-socket class of the
@@ -417,8 +431,16 @@ fn link_agent(
     let mut conn: Option<TcpStream> = None;
     let mut had_session = false;
     let mut backlog: VecDeque<NetMsg> = VecDeque::new();
-    // Staging buffer for small-frame runs, reused across bursts.
+    // The burst in hand and the staging buffer its small-frame runs are
+    // encoded into, both reused across bursts (`stage` is empty between
+    // writes).
+    let mut batch: Vec<NetMsg> = Vec::with_capacity(SHIPPER_BATCH);
     let mut stage: Vec<u8> = Vec::new();
+    // The preamble of every connection this agent dials.
+    let (hello, _) = encode_parts(&Frame::Hello {
+        node: local as u32,
+        epoch: spec.epoch,
+    });
     'frames: loop {
         let msg = match backlog.pop_front() {
             Some(m) => m,
@@ -445,11 +467,7 @@ fn link_agent(
                     continue;
                 };
                 let _ = s.set_nodelay(true);
-                let hello = Frame::Hello {
-                    node: local as u32,
-                    epoch: spec.epoch,
-                };
-                if write_frame(&mut s, &hello).is_err() {
+                if s.write_all(&hello).is_err() {
                     thread::sleep(Duration::from_millis(5));
                     continue;
                 }
@@ -479,7 +497,7 @@ fn link_agent(
                 if let Some(bw) = link.bandwidth_bytes_per_sec.filter(|bw| *bw > 0.0) {
                     thread::sleep(Duration::from_secs_f64(msg.wire_bytes() as f64 / bw));
                 }
-                match write_frame(stream, &frame_of(&msg)) {
+                match write_split(stream, &mut stage, &msg) {
                     Ok(()) => continue 'frames,
                     Err(_) => conn = None, // redial, retry the same frame
                 }
@@ -487,63 +505,61 @@ fn link_agent(
             }
             // Unshaped link: gather the burst already queued behind this
             // frame and ship it as one write. Small frames (the sub-16
-            // KiB direct-socket class) and ack frames encode into the
-            // staging buffer; a big payload flushes the staging run and
-            // goes out as its own zero-copy write.
-            let mut batch: Vec<NetMsg> = Vec::with_capacity(SHIPPER_BATCH);
+            // KiB direct-socket class), acks and releases encode into the
+            // staging buffer, payload and all; a big payload flushes the
+            // staged run with its own header and goes out as its own
+            // zero-copy write.
             batch.push(msg);
             batch.extend(backlog.drain(..backlog.len().min(SHIPPER_BATCH - 1)));
             let queued_from = batch.len();
             let _ = rx.try_drain(&mut batch, SHIPPER_BATCH - queued_from);
             batch[queued_from..].iter().for_each(dequeued);
+            let staged = batch.iter().try_for_each(|m| {
+                if m.wire_bytes() > STAGED_FRAME_BYTES {
+                    return write_split(stream, &mut stage, m);
+                }
+                if let Some(payload) = encode_msg(m, &mut stage) {
+                    stage.extend_from_slice(payload);
+                }
+                Ok(())
+            });
+            let sent = staged.and_then(|()| stream.write_all(&stage));
             stage.clear();
-            let mut sent = Ok(());
-            for m in &batch {
-                if m.wire_bytes() <= STAGED_FRAME_BYTES {
-                    encode_into(&frame_of(m), &mut stage);
-                    continue;
-                }
-                sent = stream
-                    .write_all(&stage)
-                    .and_then(|()| write_frame(stream, &frame_of(m)));
-                stage.clear();
-                if sent.is_err() {
-                    break;
-                }
-            }
-            if sent.and_then(|()| stream.write_all(&stage)).is_err() {
+            if sent.is_err() {
                 // Redial and retry the whole burst; receivers dedup
                 // any prefix that did land (same idempotence that
                 // absorbs recovery replays).
                 conn = None;
-                for m in batch.into_iter().rev() {
-                    backlog.push_front(m);
-                }
+                batch.drain(..).rev().for_each(|m| backlog.push_front(m));
             }
+            batch.clear();
             continue 'frames;
         }
     }
 }
 
-/// The durable ingress log of one worker: every inbound data frame is
-/// appended (`[src u32][len u32][encoded frame]`, little-endian)
+/// The durable ingress log of one worker with §6.2 recovery on: every
+/// inbound data frame and every `Release` is appended as one record
+/// (`[src u32][len u32][the frame's wire bytes]`, little-endian)
 /// *before* it is dispatched, so anything the worker ever acked is
-/// replayable by the next incarnation. Append-only, never fsynced —
-/// the page cache survives a `kill -9` of the process, which is the
-/// fault model here (machine loss is out of scope).
+/// replayable by the next incarnation — and anything the client already
+/// released is not replayed. Append-only, never fsynced — the page cache
+/// survives a `kill -9` of the process, which is the fault model here
+/// (machine loss is out of scope).
 struct CkptLog {
-    /// The log file and the record-staging buffer its appends reuse
-    /// (one append per inbound data frame), both under the one lock a
-    /// write needs anyway.
-    file: Mutex<(std::fs::File, Vec<u8>)>,
+    file: Mutex<std::fs::File>,
 }
 
 impl CkptLog {
-    /// Opens (creating if absent) the log at `path`, first decoding any
-    /// records a previous incarnation wrote. A torn trailing record
-    /// (crash mid-append) is ignored.
+    /// Opens (creating if absent) the log at `path`, first decoding the
+    /// records a previous incarnation wrote: the data frames of every
+    /// request the log holds no `Release` for, plus the `Release`s
+    /// themselves (they rebuild the purged set, so a late retransmission
+    /// cannot re-seed a finished request). A torn trailing record (crash
+    /// mid-append) is ignored.
     fn open(path: &Path) -> io::Result<(CkptLog, Vec<(u32, Frame)>)> {
         let mut restored = Vec::new();
+        let mut released = std::collections::HashSet::new();
         if let Ok(bytes) = std::fs::read(path) {
             let mut pos = 0usize;
             while bytes.len() - pos >= 8 {
@@ -557,44 +573,52 @@ impl CkptLog {
                 let mut dec = Decoder::new();
                 dec.feed(&bytes[pos..pos + len]);
                 match dec.next_frame() {
-                    Ok(Some(frame)) => restored.push((src, frame)),
+                    Ok(Some(frame)) => {
+                        if let Frame::Release { req } = frame {
+                            released.insert(req);
+                        }
+                        restored.push((src, frame));
+                    }
                     _ => break,
                 }
                 pos += len;
             }
         }
+        restored.retain(|(_, frame)| match frame {
+            Frame::Whole { req, .. } | Frame::Chunk { req, .. } => !released.contains(req),
+            _ => true,
+        });
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)?;
         Ok((
             CkptLog {
-                file: Mutex::new((file, Vec::new())),
+                file: Mutex::new(file),
             },
             restored,
         ))
     }
 
-    fn append(&self, src: u32, frame: &Frame) {
-        let (head, payload) = encode_parts(frame);
-        let len = head.len() + payload.as_ref().map_or(0, |p| p.len());
-        let mut guard = self.file.lock().expect("checkpoint log poisoned");
-        let (file, rec) = &mut *guard;
-        rec.clear();
-        rec.reserve(8 + len);
-        rec.extend_from_slice(&src.to_le_bytes());
-        rec.extend_from_slice(&(len as u32).to_le_bytes());
-        rec.extend_from_slice(&head);
-        if let Some(p) = &payload {
-            rec.extend_from_slice(p);
-        }
-        let _ = file.write_all(rec);
+    /// Appends one record to `burst`, the group commit a [`reader`]
+    /// builds per socket read.
+    fn stage(burst: &mut Vec<u8>, src: u32, frame: &[u8]) {
+        burst.extend_from_slice(&src.to_le_bytes());
+        burst.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        burst.extend_from_slice(frame);
+    }
+
+    /// Commits a burst of staged records: one `write_all` under one lock
+    /// acquisition, however many frames the read carried.
+    fn append(&self, burst: &[u8]) -> io::Result<()> {
+        let mut file = self.file.lock().expect("checkpoint log poisoned");
+        file.write_all(burst)
     }
 }
 
 /// Accepts inbound data connections for the life of the process, one
-/// [`reader`] thread each. `log` is the worker's checkpoint log; the
-/// client endpoint keeps none (it is never restarted).
+/// [`reader`] thread each. `log` is the checkpoint log of a worker with
+/// recovery on; the client endpoint keeps none (it is never restarted).
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>, log: Option<Arc<CkptLog>>) {
     for conn in listener.incoming() {
         if inner.shutdown.load(Ordering::Relaxed) {
@@ -607,18 +631,24 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>, log: Option<Arc<CkptLog
 }
 
 /// One inbound connection: the first frame must be the peer's `Hello`
-/// (identifying the source endpoint); data frames are logged (where a
-/// checkpoint log is kept), then run through fault injection into the
-/// runtime's ingress; ack frames apply directly to local retention (acks
-/// bypass chaos — a lost ack is healed by the retransmit sweep anyway).
-/// A decode error drops the connection; retention replays whatever was
-/// in flight.
+/// (identifying the source endpoint). Every complete frame of one socket
+/// read is decoded, then — where a checkpoint log is kept — the records
+/// of its data and `Release` frames are committed in one append, and only
+/// then is the burst dispatched: data frames through fault injection into
+/// the runtime's ingress, acks and releases straight to it (they bypass
+/// chaos — a lost ack is healed by the retransmit sweep anyway). So no
+/// frame is dispatched, let alone acked, before its record is in the log.
+/// A decode error, or a burst that cannot be logged, drops the
+/// connection with that burst undispatched; retention replays whatever
+/// was in flight.
 fn reader(inner: Arc<Inner>, log: Option<Arc<CkptLog>>, mut stream: TcpStream) {
     let local = inner.wire.as_ref().expect("wire endpoint").local;
     let _ = stream.set_nodelay(true);
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut src: Option<usize> = None;
+    let mut burst: Vec<NetMsg> = Vec::new();
+    let mut records: Vec<u8> = Vec::new();
     loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => return,
@@ -626,25 +656,35 @@ fn reader(inner: Arc<Inner>, log: Option<Arc<CkptLog>>, mut stream: TcpStream) {
         };
         dec.feed(&buf[..n]);
         loop {
-            match dec.next_frame() {
-                Ok(Some(Frame::Hello { node, .. })) => src = Some(node as usize),
-                Ok(Some(frame)) => {
+            match dec.next_raw() {
+                Ok(Some((Frame::Hello { node, .. }, _))) => src = Some(node as usize),
+                Ok(Some((frame, raw))) => {
                     let Some(src) = src.filter(|s| *s < inner.nodes.len()) else {
                         return;
                     };
-                    let data = matches!(frame, Frame::Whole { .. } | Frame::Chunk { .. });
-                    if let (true, Some(log)) = (data, &log) {
-                        log.append(src as u32, &frame);
-                    }
                     let Some(msg) = net_of(frame) else { continue };
-                    if data {
-                        chaos_ingress(&inner, src, local, msg);
-                    } else {
-                        handle_net_msg(&inner, src, local, msg);
+                    let acks = matches!(msg, NetMsg::AckMark { .. } | NetMsg::AckComplete { .. });
+                    if log.is_some() && !acks {
+                        CkptLog::stage(&mut records, src as u32, raw);
                     }
+                    burst.push(msg);
                 }
                 Ok(None) => break,
                 Err(_) => return,
+            }
+        }
+        if let Some(log) = &log {
+            if log.append(&records).is_err() {
+                return;
+            }
+            records.clear();
+        }
+        for msg in burst.drain(..) {
+            let src = src.expect("frames follow the hello");
+            if matches!(msg, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
+                chaos_ingress(&inner, src, local, msg);
+            } else {
+                handle_net_msg(&inner, src, local, msg);
             }
         }
     }
@@ -800,13 +840,14 @@ fn coord_relocate(ctl: &CoordCtl, dead: usize) {
 /// over a control channel, and then **is the client endpoint** of the
 /// same runtime the workers run: requests are invoked, awaited and
 /// abandoned by the client code of the in-process
-/// [`ClusterRuntime`], whose inputs leave as retained wire frames and
-/// whose outputs the workers ship back — plus a `purge` broadcast that
-/// releases a finished request on every worker.
+/// [`ClusterRuntime`], whose inputs leave as retained wire frames, whose
+/// outputs the workers ship back, and whose release of a finished request
+/// follows the inputs as one `Release` frame per worker.
 /// [`TcpCluster::kill_worker`] delivers a real `SIGKILL` — the ultimate
 /// `crash_node` — and [`TcpCluster::restart_worker`] brings the node back
-/// as a fresh process that replays its checkpoint log, with every sender
-/// resuming its un-acked transfers from the last acknowledged §6.2 mark.
+/// as a fresh process that (with recovery on) replays its checkpoint log,
+/// with every sender resuming its un-acked transfers from the last
+/// acknowledged §6.2 mark.
 ///
 /// With [`ClusterRtConfig::orchestrator`] set (see
 /// [`ClusterConfig::heartbeat`](crate::ClusterConfig::heartbeat)), the
@@ -1083,7 +1124,9 @@ impl TcpCluster {
 
     /// Blocks until every client output of `req` arrived over the wire,
     /// or `timeout`. On success the request's state is released on the
-    /// coordinator and purged from every live worker.
+    /// coordinator at once and on every live worker eventually: the
+    /// release travels as a `Release` frame in the link agents' next
+    /// burst, so collecting a request costs no round trip.
     ///
     /// # Errors
     ///
@@ -1092,24 +1135,15 @@ impl TcpCluster {
     /// faulted request stays tracked; abandon it with
     /// [`TcpCluster::forget`].
     pub fn wait(&self, req: ReqId, timeout: Duration) -> Result<Vec<(String, Bytes)>, RtError> {
-        let outputs = self.rt.wait(req, timeout)?;
-        self.purge_workers(req);
-        Ok(outputs)
+        self.rt.wait(req, timeout)
     }
 
-    /// Abandons a request: drops its state on the coordinator and every
-    /// live worker's parked inputs and reassembly buffers for it; see
-    /// [`ClusterRuntime::forget`].
+    /// Abandons a request: drops its state on the coordinator and (by
+    /// `Release` frame, like [`TcpCluster::wait`]) every live worker's
+    /// parked inputs and reassembly buffers for it; see
+    /// [`ClusterRuntime::forget`]. Never blocks on a dead worker.
     pub fn forget(&self, req: ReqId) {
         self.rt.forget(req);
-        self.purge_workers(req);
-    }
-
-    fn purge_workers(&self, req: ReqId) {
-        let line = format!("{{\"op\":\"purge\",\"req\":{}}}", req.id());
-        for k in 0..self.ctl.workers.len() {
-            let _ = self.ctl.rpc(k, &line);
-        }
     }
 
     /// Asks a live worker for its reassembly state: `(in-flight
@@ -1165,12 +1199,12 @@ impl TcpCluster {
         slot.child = None;
         slot.alive = false;
         drop(slot);
+        // Dead until restarted: the client stops queueing releases toward
+        // it and the retransmit sweep stops feeding its link.
+        let inner = &self.ctl.inner;
+        inner.nodes[node].down.store(true, Ordering::SeqCst);
         if was_up {
-            self.ctl
-                .inner
-                .counters
-                .node_crashes
-                .fetch_add(1, Ordering::Relaxed);
+            inner.counters.node_crashes.fetch_add(1, Ordering::Relaxed);
         }
         let (inflight, durable) = probed.unwrap_or((0, 0));
         CrashReport {
@@ -1182,10 +1216,11 @@ impl TcpCluster {
     }
 
     /// Brings a killed worker back as a **fresh process** with a bumped
-    /// epoch: the newcomer replays its checkpoint log, every peer is
-    /// told the new port, and the senders' reconnects replay their
-    /// un-acked transfers from the last acked mark (§6.2
-    /// restart-and-replay over real sockets).
+    /// epoch: every peer is told the new port and, with recovery on, the
+    /// newcomer replays its checkpoint log and the senders' reconnects
+    /// replay their un-acked transfers from the last acked mark (§6.2
+    /// restart-and-replay over real sockets). Without recovery it starts
+    /// empty: a cluster that retains nothing has nothing to resume.
     ///
     /// # Errors
     ///
@@ -1245,11 +1280,9 @@ impl TcpCluster {
             };
         }
         self.addrs[node].set(loopback(port));
-        self.ctl
-            .inner
-            .counters
-            .node_restarts
-            .fetch_add(1, Ordering::Relaxed);
+        let inner = &self.ctl.inner;
+        inner.nodes[node].down.store(false, Ordering::SeqCst);
+        inner.counters.node_restarts.fetch_add(1, Ordering::Relaxed);
         for k in 0..self.ctl.workers.len() {
             if k != node {
                 let _ = self.ctl.rpc(
@@ -1329,6 +1362,164 @@ impl std::fmt::Debug for TcpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder};
+
+    use crate::wire::encode_into;
+
+    fn data_frame(req: u64, transfer: u64) -> Frame {
+        Frame::Whole {
+            req,
+            edge: 0,
+            key: "in@$USER".into(),
+            transfer,
+            payload: Bytes::from(vec![req as u8; 40]),
+        }
+    }
+
+    fn raw(frame: &Frame) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_into(frame, &mut bytes);
+        bytes
+    }
+
+    fn temp_log(name: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("dataflower-ckpt-{}-{name}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// A restarted worker must re-run only what the client has not
+    /// released yet: `open` drops the data frames of every request the
+    /// log holds a `Release` for (and keeps the releases, which rebuild
+    /// the purged set), and still ignores a torn trailing record.
+    #[test]
+    fn reopening_the_log_restores_only_unreleased_requests() {
+        let path = temp_log("released");
+        let (log, restored) = CkptLog::open(&path).expect("create log");
+        assert!(restored.is_empty());
+        let history = [
+            data_frame(1, 10),
+            data_frame(2, 20),
+            data_frame(3, 30),
+            data_frame(2, 21),
+            Frame::Release { req: 1 },
+            Frame::Release { req: 3 },
+        ];
+        let mut burst = Vec::new();
+        for frame in &history {
+            CkptLog::stage(&mut burst, 2, &raw(frame));
+        }
+        log.append(&burst).expect("append history");
+        // The previous incarnation died halfway through its next record.
+        let mut torn = Vec::new();
+        CkptLog::stage(&mut torn, 2, &raw(&data_frame(4, 40)));
+        log.append(&torn[..torn.len() - 7]).expect("append torn");
+        drop(log);
+
+        let (_, restored) = CkptLog::open(&path).expect("reopen log");
+        let expected: Vec<(u32, Frame)> = [
+            data_frame(2, 20),
+            data_frame(2, 21),
+            Frame::Release { req: 1 },
+            Frame::Release { req: 3 },
+        ]
+        .into_iter()
+        .map(|f| (2, f))
+        .collect();
+        assert_eq!(restored, expected);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Group commit changes how often the log is written, not what is in
+    /// it: one burst of three frames leaves the record sequence of three
+    /// single appends.
+    #[test]
+    fn a_burst_logs_the_records_of_its_single_appends() {
+        let frames = [
+            data_frame(1, 10),
+            Frame::Release { req: 1 },
+            data_frame(2, 20),
+        ];
+        let (grouped, single) = (temp_log("grouped"), temp_log("single"));
+        let (log, _) = CkptLog::open(&grouped).expect("create log");
+        let mut burst = Vec::new();
+        for frame in &frames {
+            CkptLog::stage(&mut burst, 1, &raw(frame));
+        }
+        log.append(&burst).expect("one append");
+        let (log, _) = CkptLog::open(&single).expect("create log");
+        for frame in &frames {
+            let mut record = Vec::new();
+            CkptLog::stage(&mut record, 1, &raw(frame));
+            log.append(&record).expect("single append");
+        }
+        let bytes = std::fs::read(&grouped).expect("read grouped log");
+        assert!(!bytes.is_empty());
+        assert_eq!(bytes, std::fs::read(&single).expect("read single log"));
+        let _ = std::fs::remove_file(&grouped);
+        let _ = std::fs::remove_file(&single);
+    }
+
+    /// Feeds a fresh one-node worker endpoint three client inputs in one
+    /// write through a [`reader`] logging to `log`; returns how many of
+    /// them the reader delivered (counted on its own thread, so exact
+    /// once it is joined).
+    fn delivered_behind(log: CkptLog) -> u64 {
+        let mut b = WorkflowBuilder::new("logged");
+        let f = b.function("f", WorkModel::fixed(0.0));
+        b.client_input(f, "in", SizeModel::Fixed(40.0));
+        b.client_output(f, "out", SizeModel::Fixed(40.0));
+        let wf = Arc::new(b.build().expect("valid workflow"));
+        let (rt, _out_rx) = ClusterRuntimeBuilder::new(wf)
+            .placement(Placement::with_nodes(1))
+            .register("f", |ctx| {
+                let input = ctx.input("in").expect("input").clone();
+                ctx.put("out", input);
+            })
+            .start_wire(WireSpec { local: 0, epoch: 0 })
+            .expect("start worker endpoint");
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        let inner = Arc::clone(&rt.inner);
+        let reading = thread::spawn(move || reader(inner, Some(Arc::new(log)), conn));
+        let mut session = raw(&Frame::Hello { node: 1, epoch: 0 });
+        for req in 0..3 {
+            session.extend_from_slice(&raw(&data_frame(req, 100 + req)));
+        }
+        peer.write_all(&session).expect("send burst");
+        // A reader that refuses the burst hangs up; one that serves it
+        // leaves on our EOF.
+        let _ = peer.shutdown(std::net::Shutdown::Write);
+        reading.join().expect("reader thread");
+        let delivered = rt.stats().deliveries;
+        rt.shutdown();
+        delivered
+    }
+
+    /// A frame is dispatched only once its record is in the log: a
+    /// reader whose log cannot be written drops the connection and
+    /// dispatches nothing of the burst, where the same burst behind a
+    /// healthy log runs all three requests and leaves their records.
+    #[test]
+    fn a_burst_that_cannot_be_logged_is_not_dispatched() {
+        let path = temp_log("reader");
+        let (log, _) = CkptLog::open(&path).expect("create log");
+        assert_eq!(delivered_behind(log), 3);
+        let (_, restored) = CkptLog::open(&path).expect("reopen log");
+        let expected: Vec<(u32, Frame)> = (0..3).map(|r| (1, data_frame(r, 100 + r))).collect();
+        assert_eq!(restored, expected);
+
+        // The same file opened read-only: every append fails.
+        let unwritable = CkptLog {
+            file: Mutex::new(std::fs::File::open(&path).expect("open read-only")),
+        };
+        assert_eq!(delivered_behind(unwritable), 0);
+        let _ = std::fs::remove_file(&path);
+    }
 
     /// A peer that connects to the control channel and never sends its
     /// hello line must fail the handshake inside the deadline instead of

@@ -9,8 +9,8 @@
 //! ```text
 //! offset  size  field
 //! 0       1     magic     0xDF
-//! 1       1     version   currently 1
-//! 2       1     kind      1 Hello · 2 Whole · 3 Chunk · 4 AckMark · 5 AckComplete
+//! 1       1     version   currently 2
+//! 2       1     kind      1 Hello · 2 Whole · 3 Chunk · 4 AckMark · 5 AckComplete · 6 Release
 //! 3       1     flags     0 (reserved)
 //! 4       4     body_len  u32, little-endian, at most 64 MiB
 //! ```
@@ -27,6 +27,8 @@
 //!   chunk bytes to the end of the body.
 //! * **AckMark** — `transfer: u64`, `mark: u64`.
 //! * **AckComplete** — `transfer: u64`.
+//! * **Release** — `req: u64`. Client → worker: the request was collected
+//!   or abandoned, drop everything still tracked for it (version 2).
 //!
 //! Framing rules: frames are self-delimiting (fixed header carries the
 //! body length), carry no padding, and must appear back-to-back on the
@@ -38,7 +40,9 @@
 //! Encoding is zero-copy on the send side: [`encode_parts`] returns the
 //! header and fixed fields as one small buffer plus the payload as a
 //! refcounted [`Bytes`] view, so a chunk of a streamed transfer is never
-//! memcpy'd into a contiguous frame. [`Decoder`] is incremental and
+//! memcpy'd into a contiguous frame (the link agents encode the same
+//! layout straight from the fabric message into their staging buffer,
+//! with no per-frame allocation). [`Decoder`] is incremental and
 //! handles arbitrarily torn reads (a frame split mid-header or mid-body
 //! across `feed` calls decodes identically).
 //!
@@ -81,7 +85,7 @@ use crate::fabric::NetMsg;
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xDF;
 /// The wire-format version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 8;
 /// Largest admissible frame body. Far above any real frame (chunks are
@@ -94,6 +98,7 @@ const KIND_WHOLE: u8 = 2;
 const KIND_CHUNK: u8 = 3;
 const KIND_ACK_MARK: u8 = 4;
 const KIND_ACK_COMPLETE: u8 = 5;
+const KIND_RELEASE: u8 = 6;
 
 /// One decoded frame of the TCP fabric. The data-plane variants mirror
 /// the in-process `NetMsg` protocol exactly (same transfer ids, same
@@ -151,6 +156,12 @@ pub enum Frame {
         /// Acknowledged transfer.
         transfer: u64,
     },
+    /// The client collected or abandoned a request (client → worker):
+    /// the receiver drops everything it still tracks for it.
+    Release {
+        /// Released request.
+        req: u64,
+    },
 }
 
 /// Why a stream failed to decode. Any of these is fatal for the
@@ -198,6 +209,96 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Starts a frame at the end of `out` — kind and body length still
+/// unset — and returns where its header begins.
+fn begin(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[MAGIC, VERSION, 0, 0, 0, 0, 0, 0]);
+    at
+}
+
+/// Completes the header of the frame begun at `at`: its body is every
+/// byte appended since, plus `payload` bytes that follow on the stream.
+fn seal(out: &mut [u8], at: usize, kind: u8, payload: usize) {
+    let body_len = out.len() - at - HEADER_LEN + payload;
+    assert!(body_len <= MAX_BODY, "frame body exceeds the wire cap");
+    out[at + 2] = kind;
+    out[at + 4..at + 8].copy_from_slice(&(body_len as u32).to_le_bytes());
+}
+
+/// The fixed fields `Whole` and `Chunk` share; `span` is a chunk's
+/// `(offset, total)`.
+fn put_data(
+    out: &mut Vec<u8>,
+    req: u64,
+    edge: u32,
+    transfer: u64,
+    span: Option<(u64, u64)>,
+    key: &str,
+) {
+    put_u64(out, req);
+    put_u32(out, edge);
+    put_u64(out, transfer);
+    if let Some((offset, total)) = span {
+        put_u64(out, offset);
+        put_u64(out, total);
+    }
+    assert!(key.len() <= u16::MAX as usize, "sink key too long");
+    put_u16(out, key.len() as u16);
+    out.extend_from_slice(key.as_bytes());
+}
+
+/// Appends the header and every fixed field of `frame` to `out` and
+/// returns the payload (`Whole`/`Chunk`) that must follow them on the
+/// stream; the header's body length already covers it.
+fn put_head<'a>(frame: &'a Frame, out: &mut Vec<u8>) -> Option<&'a Bytes> {
+    let at = begin(out);
+    let (kind, payload) = match frame {
+        Frame::Hello { node, epoch } => {
+            put_u32(out, *node);
+            put_u32(out, *epoch);
+            (KIND_HELLO, None)
+        }
+        Frame::Whole {
+            req,
+            edge,
+            key,
+            transfer,
+            payload,
+        } => {
+            put_data(out, *req, *edge, *transfer, None, key);
+            (KIND_WHOLE, Some(payload))
+        }
+        Frame::Chunk {
+            req,
+            edge,
+            key,
+            transfer,
+            offset,
+            total,
+            bytes,
+        } => {
+            put_data(out, *req, *edge, *transfer, Some((*offset, *total)), key);
+            (KIND_CHUNK, Some(bytes))
+        }
+        Frame::AckMark { transfer, mark } => {
+            put_u64(out, *transfer);
+            put_u64(out, *mark);
+            (KIND_ACK_MARK, None)
+        }
+        Frame::AckComplete { transfer } => {
+            put_u64(out, *transfer);
+            (KIND_ACK_COMPLETE, None)
+        }
+        Frame::Release { req } => {
+            put_u64(out, *req);
+            (KIND_RELEASE, None)
+        }
+    };
+    seal(out, at, kind, payload.map_or(0, Bytes::len));
+    payload
+}
+
 /// Encodes `frame` into its send-side parts: one small buffer holding
 /// the header plus every fixed field, and — for `Whole`/`Chunk` — the
 /// payload as a zero-copy [`Bytes`] view to be written right behind it.
@@ -210,31 +311,38 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// [`MAX_BODY`] — both impossible for frames the runtime produces.
 pub fn encode_parts(frame: &Frame) -> (Vec<u8>, Option<Bytes>) {
     let mut head = Vec::with_capacity(HEADER_LEN + 48);
-    head.extend_from_slice(&[MAGIC, VERSION, 0, 0, 0, 0, 0, 0]);
-    let payload = match frame {
-        Frame::Hello { node, epoch } => {
-            head[2] = KIND_HELLO;
-            put_u32(&mut head, *node);
-            put_u32(&mut head, *epoch);
-            None
-        }
-        Frame::Whole {
+    let payload = put_head(frame, &mut head).cloned();
+    (head, payload)
+}
+
+/// Encodes `frame` contiguously onto the end of `out` (header, fields,
+/// payload) — the copying form of [`encode_parts`].
+pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    if let Some(payload) = put_head(frame, out) {
+        out.extend_from_slice(payload);
+    }
+}
+
+/// The send path's encoder: appends the wire header and fixed fields of
+/// the fabric message `msg` to `out` — byte for byte what [`encode_into`]
+/// writes for the equivalent [`Frame`], without building one — and
+/// returns the payload that must follow. A link agent copies a small
+/// payload behind the fields (one staged write per burst) and writes a
+/// large one straight from its [`Bytes`] view.
+pub(crate) fn encode_msg<'a>(msg: &'a NetMsg, out: &mut Vec<u8>) -> Option<&'a Bytes> {
+    let at = begin(out);
+    let (kind, payload) = match msg {
+        NetMsg::Whole {
             req,
             edge,
             key,
             transfer,
             payload,
         } => {
-            head[2] = KIND_WHOLE;
-            put_u64(&mut head, *req);
-            put_u32(&mut head, *edge);
-            put_u64(&mut head, *transfer);
-            assert!(key.len() <= u16::MAX as usize, "sink key too long");
-            put_u16(&mut head, key.len() as u16);
-            head.extend_from_slice(key.as_bytes());
-            Some(payload.clone())
+            put_data(out, *req, edge.index() as u32, *transfer, None, key);
+            (KIND_WHOLE, Some(payload))
         }
-        Frame::Chunk {
+        NetMsg::Chunk {
             req,
             edge,
             key,
@@ -243,45 +351,26 @@ pub fn encode_parts(frame: &Frame) -> (Vec<u8>, Option<Bytes>) {
             total,
             bytes,
         } => {
-            head[2] = KIND_CHUNK;
-            put_u64(&mut head, *req);
-            put_u32(&mut head, *edge);
-            put_u64(&mut head, *transfer);
-            put_u64(&mut head, *offset);
-            put_u64(&mut head, *total);
-            assert!(key.len() <= u16::MAX as usize, "sink key too long");
-            put_u16(&mut head, key.len() as u16);
-            head.extend_from_slice(key.as_bytes());
-            Some(bytes.clone())
+            let span = Some((*offset as u64, *total as u64));
+            put_data(out, *req, edge.index() as u32, *transfer, span, key);
+            (KIND_CHUNK, Some(bytes))
         }
-        Frame::AckMark { transfer, mark } => {
-            head[2] = KIND_ACK_MARK;
-            put_u64(&mut head, *transfer);
-            put_u64(&mut head, *mark);
-            None
+        NetMsg::AckMark { transfer, mark } => {
+            put_u64(out, *transfer);
+            put_u64(out, *mark as u64);
+            (KIND_ACK_MARK, None)
         }
-        Frame::AckComplete { transfer } => {
-            head[2] = KIND_ACK_COMPLETE;
-            put_u64(&mut head, *transfer);
-            None
+        NetMsg::AckComplete { transfer } => {
+            put_u64(out, *transfer);
+            (KIND_ACK_COMPLETE, None)
+        }
+        NetMsg::Release { req } => {
+            put_u64(out, *req);
+            (KIND_RELEASE, None)
         }
     };
-    let body_len = head.len() - HEADER_LEN + payload.as_ref().map_or(0, Bytes::len);
-    assert!(body_len <= MAX_BODY, "frame body exceeds the wire cap");
-    head[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
-    (head, payload)
-}
-
-/// Encodes `frame` contiguously into `out` (header, fields, payload).
-/// The copying convenience form of [`encode_parts`] — what tests and
-/// the checkpoint log use; the socket send path writes the two parts
-/// separately to stay zero-copy.
-pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
-    let (head, payload) = encode_parts(frame);
-    out.extend_from_slice(&head);
-    if let Some(p) = payload {
-        out.extend_from_slice(&p);
-    }
+    seal(out, at, kind, payload.map_or(0, Bytes::len));
+    payload
 }
 
 /// Cursor over one frame body during decode.
@@ -362,6 +451,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, WireError> {
             mark: r.u64()?,
         },
         KIND_ACK_COMPLETE => Frame::AckComplete { transfer: r.u64()? },
+        KIND_RELEASE => Frame::Release { req: r.u64()? },
         other => return Err(WireError::BadKind(other)),
     };
     Ok(frame)
@@ -398,6 +488,13 @@ impl Decoder {
     /// bytes still end mid-header or mid-body. An `Err` is fatal: the
     /// stream is corrupt and the connection must be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        Ok(self.next_raw()?.map(|(frame, _)| frame))
+    }
+
+    /// [`Decoder::next_frame`], plus the raw wire bytes the frame was
+    /// decoded from (header included) — what the checkpoint log records,
+    /// so a logged frame is never re-encoded.
+    pub(crate) fn next_raw(&mut self) -> Result<Option<(Frame, &[u8])>, WireError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
@@ -419,7 +516,7 @@ impl Decoder {
         let kind = avail[2];
         let frame = decode_body(kind, &avail[HEADER_LEN..frame_len])?;
         self.pos += frame_len;
-        Ok(Some(frame))
+        Ok(Some((frame, &self.buf[self.pos - frame_len..self.pos])))
     }
 }
 
@@ -428,49 +525,6 @@ impl fmt::Debug for Decoder {
         f.debug_struct("Decoder")
             .field("buffered", &(self.buf.len() - self.pos))
             .finish()
-    }
-}
-
-/// The wire frame of one in-process fabric message.
-pub(crate) fn frame_of(msg: &NetMsg) -> Frame {
-    match msg {
-        NetMsg::Whole {
-            req,
-            edge,
-            key,
-            transfer,
-            payload,
-        } => Frame::Whole {
-            req: *req,
-            edge: edge.index() as u32,
-            key: key.clone(),
-            transfer: *transfer,
-            payload: payload.clone(),
-        },
-        NetMsg::Chunk {
-            req,
-            edge,
-            key,
-            transfer,
-            offset,
-            total,
-            bytes,
-        } => Frame::Chunk {
-            req: *req,
-            edge: edge.index() as u32,
-            key: key.clone(),
-            transfer: *transfer,
-            offset: *offset as u64,
-            total: *total as u64,
-            bytes: bytes.clone(),
-        },
-        NetMsg::AckMark { transfer, mark } => Frame::AckMark {
-            transfer: *transfer,
-            mark: *mark as u64,
-        },
-        NetMsg::AckComplete { transfer } => Frame::AckComplete {
-            transfer: *transfer,
-        },
     }
 }
 
@@ -514,6 +568,7 @@ pub(crate) fn net_of(frame: Frame) -> Option<NetMsg> {
             mark: mark as usize,
         }),
         Frame::AckComplete { transfer } => Some(NetMsg::AckComplete { transfer }),
+        Frame::Release { req } => Some(NetMsg::Release { req }),
     }
 }
 
@@ -545,6 +600,7 @@ mod tests {
                 mark: 8192,
             },
             Frame::AckComplete { transfer: 10 },
+            Frame::Release { req: 1 },
             Frame::Whole {
                 req: 2,
                 edge: 1,
@@ -630,11 +686,21 @@ mod tests {
         dec.feed(&bad_version);
         assert_eq!(dec.next_frame(), Err(WireError::BadVersion(9)));
 
-        let mut bad_kind = good.clone();
-        bad_kind[2] = 77;
+        // Version 1 had no `Release`; a peer still speaking it is refused.
+        let mut old_version = good.clone();
+        old_version[1] = 1;
         let mut dec = Decoder::new();
-        dec.feed(&bad_kind);
-        assert_eq!(dec.next_frame(), Err(WireError::BadKind(77)));
+        dec.feed(&old_version);
+        assert_eq!(dec.next_frame(), Err(WireError::BadVersion(1)));
+
+        // 6 (`Release`) is the last kind; 7 is the first unknown one.
+        for kind in [7, 77] {
+            let mut bad_kind = good.clone();
+            bad_kind[2] = kind;
+            let mut dec = Decoder::new();
+            dec.feed(&bad_kind);
+            assert_eq!(dec.next_frame(), Err(WireError::BadKind(kind)));
+        }
 
         let mut oversize = good.clone();
         oversize[4..8].copy_from_slice(&(MAX_BODY as u32 + 1).to_le_bytes());
@@ -651,47 +717,31 @@ mod tests {
         assert_eq!(dec.next_frame(), Err(WireError::Truncated));
     }
 
+    /// The send path encodes fabric messages directly; for every kind
+    /// that must be byte for byte the encoding of the equivalent frame,
+    /// and the decoder must hand back the raw span it consumed.
     #[test]
-    fn net_msg_conversion_roundtrips() {
-        let chunk = NetMsg::Chunk {
-            req: 3,
-            edge: EdgeId::from_index(2),
-            key: "a@b".into(),
-            transfer: 9,
-            offset: 64,
-            total: 256,
-            bytes: Bytes::from(vec![5u8; 64]),
-        };
-        let frame = frame_of(&chunk);
-        let back = net_of(frame).expect("data frame");
-        match (chunk, back) {
-            (
-                NetMsg::Chunk {
-                    req: a_req,
-                    edge: a_edge,
-                    key: a_key,
-                    transfer: a_t,
-                    offset: a_off,
-                    total: a_total,
-                    bytes: a_bytes,
-                },
-                NetMsg::Chunk {
-                    req,
-                    edge,
-                    key,
-                    transfer,
-                    offset,
-                    total,
-                    bytes,
-                },
-            ) => {
-                assert_eq!((a_req, a_edge, a_key), (req, edge, key));
-                assert_eq!((a_t, a_off, a_total), (transfer, offset, total));
-                assert_eq!(&*a_bytes, &*bytes);
+    fn fabric_messages_encode_like_their_frames() {
+        let mut staged = Vec::new();
+        let mut dec = Decoder::new();
+        for frame in sample_frames() {
+            let Some(msg) = net_of(frame.clone()) else {
+                assert!(matches!(frame, Frame::Hello { .. }));
+                continue;
+            };
+            let mut contiguous = Vec::new();
+            encode_into(&frame, &mut contiguous);
+            // Appended behind whatever the staging buffer already holds.
+            let at = staged.len();
+            if let Some(payload) = encode_msg(&msg, &mut staged) {
+                staged.extend_from_slice(payload);
             }
-            _ => panic!("variant changed in conversion"),
+            assert_eq!(staged[at..], contiguous[..], "{frame:?}");
+            dec.feed(&contiguous);
+            let (back, raw) = dec.next_raw().unwrap().expect("one whole frame");
+            assert_eq!(raw, &contiguous[..]);
+            assert_eq!(back, frame);
         }
-        assert!(net_of(Frame::Hello { node: 0, epoch: 0 }).is_none());
     }
 
     #[test]

@@ -11,20 +11,25 @@
 //! * an unknown input name faults the request, a foreign id is unknown,
 //!   an expired deadline times out and a later `wait` on the same id
 //!   still succeeds;
-//! * `forget` after a timeout releases the request everywhere — nothing
-//!   stays parked for the janitor to expire, no retention is left to go
-//!   stale.
+//! * a collected request, and one forgotten after a timeout, is released
+//!   everywhere — eventually: over TCP the release is a frame behind the
+//!   data, not a round trip — so nothing stays parked for the janitor to
+//!   expire and no retention is left to go stale;
+//! * releasing never blocks on a dead node: with one killed and never
+//!   restarted, twice a link queue's worth of fault → `forget` cycles
+//!   return at once.
 //!
 //! `harness = false` because this binary re-executes itself as the
 //! cluster's worker processes: the worker check must run before anything
 //! else in `main`.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dataflower_rt::{
-    worker_env, Bytes, ClusterConfig, ClusterRuntime, ClusterRuntimeBuilder, Placement, ReqId,
-    RtConfig, RtError, RtStats, TcpCluster,
+    worker_env, Bytes, ClusterConfig, ClusterRuntime, ClusterRuntimeBuilder, LinkConfig, Placement,
+    ReqId, RtConfig, RtError, RtStats, TcpCluster,
 };
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder};
 
@@ -114,6 +119,8 @@ trait Client {
     fn parked(&self) -> usize;
     /// Transfers the client side still retains un-acked.
     fn retained(&self) -> usize;
+    /// Takes `node` down for good (nothing restarts it).
+    fn kill(&self, node: usize);
 }
 
 impl Client for ClusterRuntime {
@@ -136,6 +143,9 @@ impl Client for ClusterRuntime {
     }
     fn retained(&self) -> usize {
         self.retained_transfers()
+    }
+    fn kill(&self, node: usize) {
+        self.crash_node(node);
     }
 }
 
@@ -170,6 +180,9 @@ impl Client for TcpCluster {
             .parse()
             .expect("retained is a count")
     }
+    fn kill(&self, node: usize) {
+        self.kill_worker(node);
+    }
 }
 
 fn both(input: &[u8], side: &[u8]) -> Vec<(String, Bytes)> {
@@ -177,6 +190,20 @@ fn both(input: &[u8], side: &[u8]) -> Vec<(String, Bytes)> {
         ("in".to_string(), Bytes::from(input.to_vec())),
         ("side".to_string(), Bytes::from(side.to_vec())),
     ]
+}
+
+/// Release is eventual: over TCP it rides the data links while the probe
+/// that reads the nodes' state is a control RPC that can overtake it, so
+/// poll — within a bound a release that was never sent cannot meet.
+fn assert_released(medium: &str, c: &dyn Client, after: &str) {
+    let give_up = Instant::now() + Duration::from_secs(1);
+    while c.parked() > 0 {
+        assert!(
+            Instant::now() < give_up,
+            "{medium}: {after} left state on a node"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 /// The contract. Returns the big output so the caller can compare the two
@@ -202,6 +229,7 @@ fn contract(medium: &str, c: &dyn Client, foreign: ReqId) -> Bytes {
         c.wait(req, Duration::ZERO).unwrap_err(),
         RtError::UnknownRequest
     );
+    assert_released(medium, c, "wait");
 
     // Unknown input name → Faulted; foreign id → UnknownRequest.
     let bad = c.invoke(vec![("nope".to_string(), Bytes::from_static(b"x"))]);
@@ -235,7 +263,7 @@ fn contract(medium: &str, c: &dyn Client, foreign: ReqId) -> Bytes {
         c.wait(stuck, Duration::ZERO).unwrap_err(),
         RtError::UnknownRequest
     );
-    assert_eq!(c.parked(), 0, "{medium}: forget left state on a node");
+    assert_released(medium, c, "forget");
     // Had any node kept the parked `mid`, its janitor would expire it
     // (count a spill) once the TTL passed.
     std::thread::sleep(SINK_TTL + SINK_TTL / 4);
@@ -262,6 +290,32 @@ fn contract(medium: &str, c: &dyn Client, foreign: ReqId) -> Bytes {
     big_out
 }
 
+/// With node 0 dead and nothing restarting it, releasing must not wait
+/// for it: over TCP a release toward it would sit in a link queue whose
+/// agent redials forever, and the cycle that finds the queue full would
+/// block the client. Twice the queue's capacity of cycles, two seconds
+/// for all of them; a watchdog turns a wedge into a failure, not a hang.
+fn dead_node_never_blocks_release(medium: &'static str, c: &dyn Client) {
+    c.kill(0);
+    let (finished, wedged) = mpsc::channel::<()>();
+    let watchdog = std::thread::spawn(move || {
+        if wedged.recv_timeout(Duration::from_secs(2)) == Err(RecvTimeoutError::Timeout) {
+            eprintln!("{medium}: releasing toward a dead node wedged the client");
+            std::process::exit(1);
+        }
+    });
+    for _ in 0..2 * LinkConfig::default().queue_capacity {
+        let bad = c.invoke(vec![("nope".to_string(), Bytes::from_static(b"x"))]);
+        match c.wait(bad, Duration::from_secs(60)) {
+            Err(RtError::Faulted(_)) => {}
+            other => panic!("{medium}: unknown input must fault, got {other:?}"),
+        }
+        c.forget(bad);
+    }
+    finished.send(()).expect("watchdog is listening");
+    watchdog.join().expect("watchdog thread");
+}
+
 fn main() {
     // Worker processes enter here, rebuild the runtime and never return.
     if let Some(env) = worker_env() {
@@ -280,12 +334,14 @@ fn main() {
 
     let inproc = builder().start().expect("start in-process cluster");
     let a = contract("inproc", &inproc, foreign);
+    dead_node_never_blocks_release("inproc", &inproc);
     inproc.shutdown();
 
     let tcp = TcpCluster::launch(workflow(), placement(), config().build(), TAG)
         .expect("launch TCP cluster");
     let b = contract("tcp", &tcp, foreign);
     let stats = tcp.stats();
+    dead_node_never_blocks_release("tcp", &tcp);
     tcp.shutdown();
 
     assert!(*a == *b, "the two media disagree on the big output");

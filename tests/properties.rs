@@ -1240,7 +1240,7 @@ fn wire_frames_roundtrip_over_loopback_tcp_in_random_splits() {
         };
         let bytes =
             |g: &mut Gen| -> Bytes { Bytes::from(g.vec(0, 4096, |g| g.usize_in(0, 256) as u8)) };
-        match g.usize_in(0, 5) {
+        match g.usize_in(0, 6) {
             0 => Frame::Hello {
                 node: g.u64_in(0, 256) as u32,
                 epoch: g.u64_in(0, 1 << 20) as u32,
@@ -1265,8 +1265,11 @@ fn wire_frames_roundtrip_over_loopback_tcp_in_random_splits() {
                 transfer: g.u64_in(0, 1 << 40),
                 mark: g.u64_in(0, 1 << 30),
             },
-            _ => Frame::AckComplete {
+            4 => Frame::AckComplete {
                 transfer: g.u64_in(0, 1 << 40),
+            },
+            _ => Frame::Release {
+                req: g.u64_in(0, 1 << 40),
             },
         }
     }
