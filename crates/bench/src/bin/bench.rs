@@ -927,14 +927,15 @@ fn data_plane_benchmarks(h: &Harness) {
     });
 }
 
-/// Execution-core micro-benchmarks: the work-stealing scheduler's
-/// submit→steal→drain throughput and the fabric link queue's
+/// Execution-core micro-benchmarks: the node scheduler's
+/// submit→drain throughput (2000 no-op tasks through 4 slots, timed to
+/// the joined `stop`) and the fabric link queue's
 /// (`channel::bounded`) push/pop cost, same-thread and across a real
 /// producer/consumer pair.
 fn scheduler_benchmarks(h: &Harness) {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    h.run("scheduler", "steal_throughput_4x2000", || {
+    h.run("scheduler", "submit_drain_4x2000", || {
         let sched = NodeScheduler::new("bench", 4, 4);
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..2000 {

@@ -33,9 +33,7 @@ pub use config::{ClusterConfig, ContainerSpec, NodeSpec, StorageSpec};
 pub use driver::{run, run_to_idle};
 pub use engine::Orchestrator;
 pub use ids::{ContainerId, NodeId, RequestId, WfId};
-pub use placement::{
-    LeastLoadedPlacement, LoadAwarePlacement, Placement, SingleNodePlacement, SpreadPlacement,
-};
+pub use placement::{LoadAwarePlacement, Placement, SingleNodePlacement, SpreadPlacement};
 pub use report::{RunReport, WorkflowStats};
 pub use world::{
     Container, ContainerState, Request, Route, TransferDone, TriggerKind, TriggerRecord,

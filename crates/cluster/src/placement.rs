@@ -56,10 +56,6 @@ impl Placement for SingleNodePlacement {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadAwarePlacement;
 
-/// Former name of [`LoadAwarePlacement`], kept so existing call sites and
-/// scripts keep compiling.
-pub type LeastLoadedPlacement = LoadAwarePlacement;
-
 impl Placement for LoadAwarePlacement {
     fn node_for(&mut self, world: &World, _wf: WfId, _func: FnId) -> NodeId {
         let mut best = NodeId::from_index(0);

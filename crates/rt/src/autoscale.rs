@@ -8,7 +8,7 @@
 //! [`dataflower::pressure_secs`], and grows or shrinks the function's
 //! replica count between configurable bounds. Replica counts no longer
 //! map to dedicated threads: they widen or narrow the *active slot
-//! window* of the hosting node's work-stealing
+//! window* of the hosting node's
 //! [`NodeScheduler`](crate::NodeScheduler), so a scale event is a pair
 //! of atomic stores rather than a thread spawn or join.
 //!

@@ -7,9 +7,9 @@
 //! topology (Fig. 4) are directly expressible:
 //!
 //! * function bodies are plain Rust closures receiving a [`FluContext`];
-//!   invocations run as tasks on a per-node **work-stealing scheduler**
-//!   ([`NodeScheduler`]) whose worker threads spawn lazily, one per
-//!   active executor slot;
+//!   invocations run as tasks on a per-node **scheduler**
+//!   ([`NodeScheduler`]: one shared queue, worker threads spawned
+//!   lazily, one per active executor slot);
 //! * `ctx.put(...)` hands data to the hosting node's **DLU daemon
 //!   thread** mid-function; transfers overlap the rest of the
 //!   computation;
@@ -57,8 +57,8 @@
 //! same §6.2 retention/ack protocol carried as explicit ack frames. The
 //! in-process fabric remains the default and the fast path.
 //!
-//! See [`RuntimeBuilder`] (single node) and [`ClusterRuntimeBuilder`]
-//! (multi-node) for complete runnable examples,
+//! See [`ClusterRuntimeBuilder`] for a complete runnable example (one
+//! node unless a [`Placement`] says otherwise),
 //! `examples/multinode_live.rs` for the paper benchmarks on a three-node
 //! topology, and `examples/checkpoint_recovery.rs` for a crash mid-
 //! transfer healed from the checkpoint marks.
@@ -97,7 +97,7 @@ pub use node::{
 };
 pub use runtime::{
     ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, RecoveryConfig, ReqId,
-    RtConfig, RtStats, Runtime, RuntimeBuilder,
+    RtConfig, RtStats,
 };
 pub use sched::NodeScheduler;
 pub use sink::ShardedSink;

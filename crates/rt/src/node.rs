@@ -2,7 +2,7 @@
 //! [`NodeRuntime`] per simulated worker node, and the node-local data
 //! sink the DLU routes into.
 //!
-//! Each node owns a work-stealing FLU scheduler
+//! Each node owns an FLU scheduler
 //! ([`NodeScheduler`](crate::NodeScheduler)) executing the functions
 //! placed on it, one merged DLU daemon thread routing their `put`s, its
 //! own Wait-Match data sink (inbound payloads keyed by `(request,
@@ -105,48 +105,20 @@ impl Placement {
     }
 }
 
-fn single_node_impl() -> Placement {
-    Placement::with_nodes(1)
-}
-
-fn round_robin_impl(wf: &Workflow, nodes: usize) -> Placement {
-    let mut p = Placement::with_nodes(nodes);
-    for (i, f) in wf.topo_order().iter().enumerate() {
-        p.map.insert(wf.function(*f).name.clone(), i % nodes);
-    }
-    p
-}
-
-fn by_level_impl(wf: &Workflow, nodes: usize) -> Placement {
-    let mut p = Placement::with_nodes(nodes);
-    for (level, fns) in wf.levels().iter().enumerate() {
-        for f in fns {
-            p.map.insert(wf.function(*f).name.clone(), level % nodes);
-        }
-    }
-    p
-}
-
-fn load_aware_impl(wf: &Workflow, nodes: usize, base_load: &[f64]) -> Placement {
-    assert!(nodes > 0, "a cluster needs at least one node");
-    assert_eq!(
-        base_load.len(),
-        nodes,
-        "load_aware needs one base-load figure per node"
-    );
-    const REFERENCE_INPUT_BYTES: f64 = 1024.0 * 1024.0;
-    let mut load = base_load.to_vec();
-    let mut p = Placement::with_nodes(nodes);
-    for f in wf.topo_order() {
-        let def = wf.function(*f);
-        let cost = def.work.core_secs(REFERENCE_INPUT_BYTES).max(1e-9);
-        let target = (0..nodes)
-            .min_by(|a, b| load[*a].total_cmp(&load[*b]))
-            .expect("nodes > 0");
-        load[target] += cost;
-        p.map.insert(def.name.clone(), target);
-    }
-    p
+/// The least-pressured of the `live` node ids, reading one gauge per
+/// node id out of `pressure` (missing gauges read as 0) — the ε-CON
+/// relocation choice, shared by [`PlacementPolicy::relocate`]'s default
+/// and the orchestrator paths that run without a policy.
+///
+/// # Panics
+///
+/// Panics if `live` is empty: with no survivors there is nowhere to go.
+pub(crate) fn least_pressured(live: &[usize], pressure: &[f64]) -> usize {
+    let gauge = |n: &usize| pressure.get(*n).copied().unwrap_or(0.0);
+    *live
+        .iter()
+        .min_by(|a, b| gauge(a).total_cmp(&gauge(b)))
+        .expect("relocate needs at least one surviving node")
 }
 
 /// A live placement strategy: how functions are laid out at `start()`
@@ -195,14 +167,7 @@ pub trait PlacementPolicy: Send + Sync {
     /// survivors there is nowhere to relocate to.
     fn relocate(&self, dead: usize, live: &[usize], pressure: &[f64]) -> usize {
         let _ = dead;
-        *live
-            .iter()
-            .min_by(|a, b| {
-                let pa = pressure.get(**a).copied().unwrap_or(0.0);
-                let pb = pressure.get(**b).copied().unwrap_or(0.0);
-                pa.total_cmp(&pb)
-            })
-            .expect("relocate needs at least one surviving node")
+        least_pressured(live, pressure)
     }
 }
 
@@ -214,7 +179,7 @@ pub struct SingleNode;
 
 impl PlacementPolicy for SingleNode {
     fn initial(&self, _wf: &Workflow, _nodes: usize) -> Placement {
-        single_node_impl()
+        Placement::with_nodes(1)
     }
 }
 
@@ -225,7 +190,11 @@ pub struct RoundRobin;
 
 impl PlacementPolicy for RoundRobin {
     fn initial(&self, wf: &Workflow, nodes: usize) -> Placement {
-        round_robin_impl(wf, nodes)
+        let mut p = Placement::with_nodes(nodes);
+        for (i, f) in wf.topo_order().iter().enumerate() {
+            p.map.insert(wf.function(*f).name.clone(), i % nodes);
+        }
+        p
     }
 }
 
@@ -237,7 +206,13 @@ pub struct ByLevel;
 
 impl PlacementPolicy for ByLevel {
     fn initial(&self, wf: &Workflow, nodes: usize) -> Placement {
-        by_level_impl(wf, nodes)
+        let mut p = Placement::with_nodes(nodes);
+        for (level, fns) in wf.levels().iter().enumerate() {
+            for f in fns {
+                p.map.insert(wf.function(*f).name.clone(), level % nodes);
+            }
+        }
+        p
     }
 }
 
@@ -298,11 +273,28 @@ impl PlacementPolicy for LoadAware {
     /// Panics if a non-empty seed load was given whose length differs
     /// from `nodes`.
     fn initial(&self, wf: &Workflow, nodes: usize) -> Placement {
-        if self.base_load.is_empty() {
-            load_aware_impl(wf, nodes, &vec![0.0; nodes])
+        const REFERENCE_INPUT_BYTES: f64 = 1024.0 * 1024.0;
+        let mut load = if self.base_load.is_empty() {
+            vec![0.0; nodes]
         } else {
-            load_aware_impl(wf, nodes, &self.base_load)
+            self.base_load.clone()
+        };
+        assert_eq!(
+            load.len(),
+            nodes,
+            "load_aware needs one base-load figure per node"
+        );
+        let mut p = Placement::with_nodes(nodes);
+        for f in wf.topo_order() {
+            let def = wf.function(*f);
+            let cost = def.work.core_secs(REFERENCE_INPUT_BYTES).max(1e-9);
+            let target = (0..nodes)
+                .min_by(|a, b| load[*a].total_cmp(&load[*b]))
+                .expect("nodes > 0");
+            load[target] += cost;
+            p.map.insert(def.name.clone(), target);
         }
+        p
     }
 }
 
@@ -377,7 +369,7 @@ impl NodeState {
 }
 
 /// One worker node of a [`ClusterRuntime`](crate::ClusterRuntime): the
-/// work-stealing FLU scheduler, merged DLU daemon and data sink of the
+/// FLU scheduler, merged DLU daemon and data sink of the
 /// functions placed on it.
 ///
 /// Nodes are created by

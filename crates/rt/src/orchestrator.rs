@@ -38,7 +38,7 @@ use std::time::Instant;
 use dataflower_workflow::{EdgeId, Endpoint, FnId};
 
 use crate::error::RtError;
-use crate::node::{NodeReqState, SinkEntry};
+use crate::node::{least_pressured, NodeReqState, SinkEntry};
 use crate::runtime::{
     account_replay, emit, node_pressure_of, refresh_scheduler_active, resolve_active, retention_of,
     retention_sources, seed_req_state, submit_invoke, ClusterRuntime, Inner,
@@ -150,7 +150,7 @@ pub(crate) fn relocate_node(inner: &Arc<Inner>, dead: usize) {
             }
             let to = match &inner.policy {
                 Some(p) => p.relocate(dead, &live, &pressure),
-                None => fallback_relocate(&live, &pressure),
+                None => least_pressured(&live, &pressure),
             };
             Some((name.clone(), to))
         })
@@ -158,26 +158,12 @@ pub(crate) fn relocate_node(inner: &Arc<Inner>, dead: usize) {
     rehome_functions(inner, dead, &moves);
     inner
         .counters
-        .relocated_fns
+        .relocated_functions
         .fetch_add(moves.len() as u64, Ordering::Relaxed);
     inner.trace_with(|| TraceEventKind::Relocate {
         dead_node: dead as u32,
         moved: moves.len() as u32,
     });
-}
-
-/// The default relocation choice when no policy was given: the
-/// least-pressured survivor. Also the coordinator-side choice in wire
-/// mode, where no policy object exists.
-pub(crate) fn fallback_relocate(live: &[usize], pressure: &[f64]) -> usize {
-    *live
-        .iter()
-        .min_by(|a, b| {
-            let pa = pressure.get(**a).copied().unwrap_or(0.0);
-            let pb = pressure.get(**b).copied().unwrap_or(0.0);
-            pa.total_cmp(&pb)
-        })
-        .expect("relocate needs at least one surviving node")
 }
 
 /// Moves each `(function, to)` off node `from`: re-pins the live
@@ -227,7 +213,7 @@ pub(crate) fn rehome_functions(inner: &Arc<Inner>, from: usize, moves: &[(String
 /// Drains `name`'s in-flight invocations (a bounded wait on the live
 /// gauge), then re-derives both schedulers' active-slot windows from the
 /// already-re-pinned placement: the old node sheds the function's worker
-/// slots, the new node gains them. No threads move — the work-stealing
+/// slots, the new node gains them. No threads move — the
 /// schedulers exist on every node for the runtime's lifetime, and tasks
 /// queued toward the old node stay correct because routing reads the
 /// live placement per put. On drain timeout the re-derive proceeds

@@ -3,12 +3,11 @@
 //!
 //! Architecture (one [`NodeRuntime`] per simulated worker node):
 //!
-//! * each node owns a **work-stealing FLU scheduler**
-//!   ([`NodeScheduler`]): invocations are submitted as tasks to a shared
-//!   injector, lazily-spawned worker threads pop locally and steal
-//!   batches from each other, and the per-function replica gauges sum
-//!   into the node's *active worker-slot window* instead of dedicated
-//!   threads-per-function;
+//! * each node owns one **FLU scheduler** ([`NodeScheduler`]):
+//!   invocations are submitted as tasks to its one shared queue,
+//!   lazily-spawned worker threads pop the front, and the per-function
+//!   replica gauges sum into the node's *active worker-slot window*
+//!   instead of dedicated threads-per-function;
 //! * per node, one **merged DLU daemon thread** drains the node's `put`
 //!   channel and routes payloads along the workflow's data edges,
 //!   classifying every inter-function transfer through the paper's
@@ -43,7 +42,7 @@
 //! converts it into seconds of backpressure via
 //! [`dataflower::pressure_secs`] (Eq. 1), and grows or shrinks the
 //! function's replica gauge between the configured bounds — which
-//! resizes the hosting node's stealing parallelism
+//! resizes the hosting node's executor parallelism
 //! ([`NodeScheduler::set_active`]), the paper's pressure-aware
 //! scale-out with a cool-down-guarded scale-in once the DLU drained.
 
@@ -71,8 +70,7 @@ use crate::orchestrator;
 use crate::sched::NodeScheduler;
 use crate::trace::{EventKind as TraceEventKind, FateKind, TraceEvent, TraceRecorder};
 
-/// A request identifier issued by [`ClusterRuntime::invoke`] /
-/// [`Runtime::invoke`].
+/// A request identifier issued by [`ClusterRuntime::invoke`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub(crate) u64);
 
@@ -219,170 +217,138 @@ impl Default for ClusterRtConfig {
     }
 }
 
-/// Counters exposed by [`ClusterRuntime::stats`] / [`Runtime::stats`].
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RtStats {
+/// The runtime's counters, declared once. The table below generates
+/// [`RtStats`] (plain `u64`s), its fixed-order `to_vec`/`from_vec` — the
+/// payload of the worker `stats` control RPC, so the order is wire order:
+/// append, never reorder — and the live `Counters` (`AtomicU64`s under
+/// the same names) with its `snapshot`.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters exposed by [`ClusterRuntime::stats`].
+        #[derive(Debug, Default, Clone, PartialEq, Eq)]
+        pub struct RtStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl RtStats {
+            /// Flattens the counters into a fixed-order vector — the
+            /// payload of the worker `stats` control RPC. Inverse of
+            /// [`RtStats::from_vec`].
+            pub(crate) fn to_vec(&self) -> Vec<u64> {
+                vec![$(self.$name,)*]
+            }
+
+            /// Rebuilds stats from [`RtStats::to_vec`]'s ordering;
+            /// missing trailing entries (an older worker) read as zero.
+            pub(crate) fn from_vec(v: &[u64]) -> RtStats {
+                let mut it = v.iter().copied();
+                RtStats {
+                    $($name: it.next().unwrap_or(0),)*
+                }
+            }
+        }
+
+        #[derive(Default)]
+        pub(crate) struct Counters {
+            $(pub(crate) $name: AtomicU64,)*
+        }
+
+        impl Counters {
+            /// A consistent-enough point-in-time copy of every counter
+            /// (each field is loaded independently; totals may straddle
+            /// concurrent increments, which is fine for stats).
+            pub(crate) fn snapshot(&self) -> RtStats {
+                RtStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// `put`/`put_to` calls routed by DLU daemons.
-    pub puts: u64,
+    puts,
     /// Data deliveries into function sinks.
-    pub deliveries: u64,
+    deliveries,
     /// Function invocations executed.
-    pub invocations: u64,
+    invocations,
     /// Sink entries passively expired by the janitors.
-    pub spills: u64,
+    spills,
     /// Inter-function transfers that took the direct socket (< threshold).
-    pub direct_socket_transfers: u64,
+    direct_socket_transfers,
     /// Inter-function transfers that took the node-local pipe.
-    pub local_pipe_transfers: u64,
+    local_pipe_transfers,
     /// Inter-function transfers that took the streaming remote pipe.
-    pub remote_pipe_transfers: u64,
+    remote_pipe_transfers,
     /// Chunks shipped by the remote pipe connector.
-    pub remote_chunks: u64,
+    remote_chunks,
     /// Checkpoint marks recorded along remote pipe streams (§6.2).
-    pub remote_checkpoints: u64,
+    remote_checkpoints,
     /// Payload bytes that crossed nodes (direct-socket and remote-pipe).
-    pub remote_bytes: u64,
+    remote_bytes,
     /// Executor-pool scale-outs triggered by pressure (Eq. 1).
-    pub scale_out_events: u64,
+    scale_out_events,
     /// Executor-pool scale-ins after the DLU drained.
-    pub scale_in_events: u64,
+    scale_in_events,
     /// Checkpoint-mark acknowledgements received by senders (§6.2): each
     /// trims the retention window of one transfer to its mark.
-    pub acked_marks: u64,
+    acked_marks,
     /// Node crashes (fault-plan kills plus explicit
     /// [`ClusterRuntime::crash_node`] calls that found the node up).
-    pub node_crashes: u64,
+    node_crashes,
     /// Node restarts after a crash.
-    pub node_restarts: u64,
+    node_restarts,
     /// Fabric frames lost at a crashed node's ingress.
-    pub frames_lost_to_crashes: u64,
+    frames_lost_to_crashes,
     /// Fabric frames dropped in flight by fault injection.
-    pub chaos_dropped_frames: u64,
+    chaos_dropped_frames,
     /// Fabric frames delivered twice by fault injection.
-    pub chaos_duplicated_frames: u64,
+    chaos_duplicated_frames,
     /// Shipper wakeups delayed by fault injection.
-    pub chaos_delayed_frames: u64,
+    chaos_delayed_frames,
     /// Incomplete transfers replayed when a crashed node restarted.
-    pub recovered_transfers: u64,
+    recovered_transfers,
     /// Frames re-delivered by recovery (restart replay plus
     /// retransmissions).
-    pub replayed_frames: u64,
+    replayed_frames,
     /// Payload bytes re-delivered by recovery.
-    pub replayed_bytes: u64,
+    replayed_bytes,
     /// Bytes *not* re-sent during restart replay because they sat below
     /// an acknowledged checkpoint mark — the §6.2 savings of resuming
     /// from the mark instead of byte 0.
-    pub resumed_from_mark_bytes: u64,
+    resumed_from_mark_bytes,
     /// Transfers swept by the retransmit path (no ack within the
     /// timeout, e.g. after an in-flight frame drop).
-    pub retransmitted_transfers: u64,
+    retransmitted_transfers,
     /// Keep-alive heartbeats recorded by the orchestrator control plane
     /// (node-side stamps in-process, coordinator pings over TCP).
-    pub heartbeats: u64,
+    heartbeats,
     /// Liveness checks that found a node's heartbeat stale (or a ping
     /// unanswered) — `heartbeat_miss_threshold` consecutive ones declare
     /// the node lost.
-    pub heartbeat_misses: u64,
+    heartbeat_misses,
     /// Nodes the controller declared permanently lost.
-    pub node_losses: u64,
+    node_losses,
     /// Functions moved off a lost node by the controller.
-    pub relocated_functions: u64,
+    relocated_functions,
     /// Voluntary [`ClusterRuntime::migrate_function`] moves completed.
-    pub live_migrations: u64,
+    live_migrations,
     /// Data frames that arrived at a node no longer hosting their target
     /// function and were forwarded to its current host (mid-relocation
     /// healing).
-    pub forwarded_frames: u64,
+    forwarded_frames,
     /// Requests admitted through the ingress gate
     /// ([`ClusterRuntime::try_invoke`]).
-    pub admitted_requests: u64,
+    admitted_requests,
     /// Arrivals rejected at the ingress gate.
-    pub rejected_requests: u64,
+    rejected_requests,
 }
 
 impl RtStats {
     /// Total inter-function transfers, across all three pipe kinds.
     pub fn inter_function_transfers(&self) -> u64 {
         self.direct_socket_transfers + self.local_pipe_transfers + self.remote_pipe_transfers
-    }
-
-    /// Flattens the counters into a fixed-order vector — the payload of
-    /// the worker `stats` control RPC. Inverse of [`RtStats::from_vec`].
-    pub(crate) fn to_vec(&self) -> Vec<u64> {
-        vec![
-            self.puts,
-            self.deliveries,
-            self.invocations,
-            self.spills,
-            self.direct_socket_transfers,
-            self.local_pipe_transfers,
-            self.remote_pipe_transfers,
-            self.remote_chunks,
-            self.remote_checkpoints,
-            self.remote_bytes,
-            self.scale_out_events,
-            self.scale_in_events,
-            self.acked_marks,
-            self.node_crashes,
-            self.node_restarts,
-            self.frames_lost_to_crashes,
-            self.chaos_dropped_frames,
-            self.chaos_duplicated_frames,
-            self.chaos_delayed_frames,
-            self.recovered_transfers,
-            self.replayed_frames,
-            self.replayed_bytes,
-            self.resumed_from_mark_bytes,
-            self.retransmitted_transfers,
-            self.heartbeats,
-            self.heartbeat_misses,
-            self.node_losses,
-            self.relocated_functions,
-            self.live_migrations,
-            self.forwarded_frames,
-            self.admitted_requests,
-            self.rejected_requests,
-        ]
-    }
-
-    /// Rebuilds stats from [`RtStats::to_vec`]'s ordering; missing
-    /// trailing entries (an older worker) read as zero.
-    pub(crate) fn from_vec(v: &[u64]) -> RtStats {
-        let at = |i: usize| v.get(i).copied().unwrap_or(0);
-        RtStats {
-            puts: at(0),
-            deliveries: at(1),
-            invocations: at(2),
-            spills: at(3),
-            direct_socket_transfers: at(4),
-            local_pipe_transfers: at(5),
-            remote_pipe_transfers: at(6),
-            remote_chunks: at(7),
-            remote_checkpoints: at(8),
-            remote_bytes: at(9),
-            scale_out_events: at(10),
-            scale_in_events: at(11),
-            acked_marks: at(12),
-            node_crashes: at(13),
-            node_restarts: at(14),
-            frames_lost_to_crashes: at(15),
-            chaos_dropped_frames: at(16),
-            chaos_duplicated_frames: at(17),
-            chaos_delayed_frames: at(18),
-            recovered_transfers: at(19),
-            replayed_frames: at(20),
-            replayed_bytes: at(21),
-            resumed_from_mark_bytes: at(22),
-            retransmitted_transfers: at(23),
-            heartbeats: at(24),
-            heartbeat_misses: at(25),
-            node_losses: at(26),
-            relocated_functions: at(27),
-            live_migrations: at(28),
-            forwarded_frames: at(29),
-            admitted_requests: at(30),
-            rejected_requests: at(31),
-        }
     }
 
     /// Adds `other`'s counters field-wise — how the coordinator
@@ -437,84 +403,6 @@ struct ClientReqState {
     /// replay re-fires its functions and re-ships their outputs, so
     /// arrival is deduplicated per edge for byte-identical results.
     delivered: HashSet<EdgeId>,
-}
-
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) puts: AtomicU64,
-    pub(crate) deliveries: AtomicU64,
-    pub(crate) invocations: AtomicU64,
-    pub(crate) spills: AtomicU64,
-    pub(crate) direct_socket: AtomicU64,
-    pub(crate) local_pipe: AtomicU64,
-    pub(crate) remote_pipe: AtomicU64,
-    pub(crate) remote_chunks: AtomicU64,
-    pub(crate) remote_checkpoints: AtomicU64,
-    pub(crate) remote_bytes: AtomicU64,
-    pub(crate) scale_outs: AtomicU64,
-    pub(crate) scale_ins: AtomicU64,
-    pub(crate) acked_marks: AtomicU64,
-    pub(crate) node_crashes: AtomicU64,
-    pub(crate) node_restarts: AtomicU64,
-    pub(crate) frames_lost: AtomicU64,
-    pub(crate) chaos_drops: AtomicU64,
-    pub(crate) chaos_dups: AtomicU64,
-    pub(crate) chaos_delays: AtomicU64,
-    pub(crate) recovered_transfers: AtomicU64,
-    pub(crate) replayed_frames: AtomicU64,
-    pub(crate) replayed_bytes: AtomicU64,
-    pub(crate) resumed_from_mark: AtomicU64,
-    pub(crate) retransmitted: AtomicU64,
-    pub(crate) heartbeats: AtomicU64,
-    pub(crate) heartbeat_misses: AtomicU64,
-    pub(crate) node_losses: AtomicU64,
-    pub(crate) relocated_fns: AtomicU64,
-    pub(crate) live_migrations: AtomicU64,
-    pub(crate) forwarded_frames: AtomicU64,
-    pub(crate) admitted: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-}
-
-impl Counters {
-    /// A consistent-enough point-in-time copy of every counter (each
-    /// field is loaded independently; totals may straddle concurrent
-    /// increments, which is fine for stats).
-    pub(crate) fn snapshot(&self) -> RtStats {
-        RtStats {
-            puts: self.puts.load(Ordering::Relaxed),
-            deliveries: self.deliveries.load(Ordering::Relaxed),
-            invocations: self.invocations.load(Ordering::Relaxed),
-            spills: self.spills.load(Ordering::Relaxed),
-            direct_socket_transfers: self.direct_socket.load(Ordering::Relaxed),
-            local_pipe_transfers: self.local_pipe.load(Ordering::Relaxed),
-            remote_pipe_transfers: self.remote_pipe.load(Ordering::Relaxed),
-            remote_chunks: self.remote_chunks.load(Ordering::Relaxed),
-            remote_checkpoints: self.remote_checkpoints.load(Ordering::Relaxed),
-            remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
-            scale_out_events: self.scale_outs.load(Ordering::Relaxed),
-            scale_in_events: self.scale_ins.load(Ordering::Relaxed),
-            acked_marks: self.acked_marks.load(Ordering::Relaxed),
-            node_crashes: self.node_crashes.load(Ordering::Relaxed),
-            node_restarts: self.node_restarts.load(Ordering::Relaxed),
-            frames_lost_to_crashes: self.frames_lost.load(Ordering::Relaxed),
-            chaos_dropped_frames: self.chaos_drops.load(Ordering::Relaxed),
-            chaos_duplicated_frames: self.chaos_dups.load(Ordering::Relaxed),
-            chaos_delayed_frames: self.chaos_delays.load(Ordering::Relaxed),
-            recovered_transfers: self.recovered_transfers.load(Ordering::Relaxed),
-            replayed_frames: self.replayed_frames.load(Ordering::Relaxed),
-            replayed_bytes: self.replayed_bytes.load(Ordering::Relaxed),
-            resumed_from_mark_bytes: self.resumed_from_mark.load(Ordering::Relaxed),
-            retransmitted_transfers: self.retransmitted.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
-            heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
-            node_losses: self.node_losses.load(Ordering::Relaxed),
-            relocated_functions: self.relocated_fns.load(Ordering::Relaxed),
-            live_migrations: self.live_migrations.load(Ordering::Relaxed),
-            forwarded_frames: self.forwarded_frames.load(Ordering::Relaxed),
-            admitted_requests: self.admitted.load(Ordering::Relaxed),
-            rejected_requests: self.rejected.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Wire-mode state of an [`Inner`]: present only when the runtime was
@@ -579,7 +467,7 @@ pub(crate) struct Inner {
     /// schedulers can reach the runtime without keeping it alive after
     /// the owning [`ClusterRuntime`] drops.
     pub(crate) me: Weak<Inner>,
-    /// Per-node work-stealing FLU executors. Worker threads spawn
+    /// Per-node FLU executors. Worker threads spawn
     /// lazily up to each scheduler's active-slot window, which the
     /// autoscaler resizes instead of spawning/retiring threads.
     pub(crate) scheds: Vec<NodeScheduler>,
@@ -1172,7 +1060,7 @@ impl ClusterRuntimeBuilder {
         (scale, initial_replicas)
     }
 
-    /// Builds one node's work-stealing FLU scheduler. The slot ceiling
+    /// Builds one node's FLU scheduler. The slot ceiling
     /// is migration-safe: the sum over **all** functions of each one's
     /// replica cap, because relocation or live migration can land any
     /// function here later. The initial active window is the replica
@@ -1215,8 +1103,8 @@ impl ClusterRuntimeBuilder {
     /// Spawns one node's worth of threads: the node's **merged DLU
     /// daemon** (routes every hosted function's puts) and, in in-process
     /// orchestrator mode, its heartbeat responder. FLU invocations run
-    /// on the node's work-stealing scheduler, whose worker threads spawn
-    /// lazily on first submit rather than here. Outbound routing fetches
+    /// on the node's scheduler, whose worker threads spawn lazily on
+    /// first submit rather than here. Outbound routing fetches
     /// the node's link row from `Inner.links` per put.
     fn spawn_node(
         &self,
@@ -1277,8 +1165,7 @@ fn transfer_base(local: usize, epoch: u32) -> u64 {
 }
 
 /// A running multi-node FLU/DLU runtime. Create with
-/// [`ClusterRuntimeBuilder`]; for the single-node special case,
-/// [`RuntimeBuilder`] is a thinner front door.
+/// [`ClusterRuntimeBuilder`]; without a placement it runs on one node.
 pub struct ClusterRuntime {
     pub(crate) inner: Arc<Inner>,
     nodes: Vec<NodeRuntime>,
@@ -1396,10 +1283,16 @@ impl ClusterRuntime {
         inputs: Vec<(String, Bytes)>,
     ) -> Result<ReqId, Rejected> {
         if let Err(r) = self.inner.gate.try_admit(tenant) {
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .counters
+                .rejected_requests
+                .fetch_add(1, Ordering::Relaxed);
             return Err(r);
         }
-        self.inner.counters.admitted.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .counters
+            .admitted_requests
+            .fetch_add(1, Ordering::Relaxed);
         let req = self.invoke(inputs);
         self.inner.gate.bind(req.0, tenant);
         Ok(req)
@@ -1515,7 +1408,7 @@ impl ClusterRuntime {
         self.nodes.len()
     }
 
-    /// The node at `index` (work-stealing FLU scheduler, merged DLU
+    /// The node at `index` (FLU scheduler, merged DLU
     /// daemon and sink of the functions placed there).
     pub fn node(&self, index: usize) -> &NodeRuntime {
         &self.nodes[index]
@@ -1531,7 +1424,7 @@ impl ClusterRuntime {
     /// Replica gauge of function `name`: how many worker slots of its
     /// hosting node's scheduler it contributes. With elastic scaling
     /// enabled this is a **live gauge** that moves as the autoscaler
-    /// grows and shrinks the function's share of stealing parallelism.
+    /// grows and shrinks the function's share of executor parallelism.
     pub fn replicas_of(&self, name: &str) -> Option<usize> {
         self.inner
             .scale
@@ -1731,155 +1624,8 @@ impl fmt::Debug for ClusterRuntime {
     }
 }
 
-/// Builder for a single-node [`Runtime`]: register one body per workflow
-/// function, then [`RuntimeBuilder::start`].
-pub struct RuntimeBuilder {
-    builder: ClusterRuntimeBuilder,
-    cfg: RtConfig,
-}
-
-impl RuntimeBuilder {
-    /// Starts building a runtime for `workflow`.
-    pub fn new(workflow: Arc<Workflow>) -> Self {
-        RuntimeBuilder {
-            builder: ClusterRuntimeBuilder::new(workflow),
-            cfg: RtConfig::default(),
-        }
-    }
-
-    /// Replaces the configuration.
-    pub fn config(mut self, cfg: RtConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Registers the body of function `name`.
-    pub fn register<F>(mut self, name: impl Into<String>, body: F) -> Self
-    where
-        F: Fn(&mut FluContext) + Send + Sync + 'static,
-    {
-        self.builder = self.builder.register(name, body);
-        self
-    }
-
-    /// Overrides the executor-thread count for function `name`
-    /// (scale-out within the process).
-    pub fn replicas(mut self, name: impl Into<String>, n: usize) -> Self {
-        self.builder = self.builder.replicas(name, n);
-        self
-    }
-
-    /// Validates registrations and spawns all threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtError::UnregisteredFunction`] if a workflow function
-    /// has no body, or [`RtError::UnknownFunction`] if a body or replica
-    /// override names a function not in the workflow.
-    pub fn start(self) -> Result<Runtime, RtError> {
-        let cluster = self
-            .builder
-            .config(ClusterRtConfig {
-                rt: self.cfg,
-                ..ClusterRtConfig::default()
-            })
-            .placement(Placement::with_nodes(1))
-            .start()?;
-        Ok(Runtime { cluster })
-    }
-}
-
-/// A running single-node FLU/DLU runtime — a [`ClusterRuntime`] pinned to
-/// one worker node. Create with [`RuntimeBuilder`].
-///
-/// # Examples
-///
-/// A real two-stage pipeline that uppercases then reverses a string:
-///
-/// ```
-/// use std::sync::Arc;
-/// use dataflower_rt::{Bytes, RuntimeBuilder};
-/// use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder};
-///
-/// let mut b = WorkflowBuilder::new("pipeline");
-/// let upper = b.function("upper", WorkModel::fixed(0.001));
-/// let rev = b.function("rev", WorkModel::fixed(0.001));
-/// b.client_input(upper, "text", SizeModel::Fixed(64.0));
-/// b.edge(upper, rev, "upped", SizeModel::Fixed(64.0));
-/// b.client_output(rev, "result", SizeModel::Fixed(64.0));
-/// let wf = Arc::new(b.build()?);
-///
-/// let rt = RuntimeBuilder::new(wf)
-///     .register("upper", |ctx| {
-///         let s = String::from_utf8_lossy(ctx.input("text").unwrap()).to_uppercase();
-///         ctx.put("upped", Bytes::from(s.into_bytes()));
-///     })
-///     .register("rev", |ctx| {
-///         let s: String = String::from_utf8_lossy(ctx.input("upped").unwrap())
-///             .chars().rev().collect();
-///         ctx.put("result", Bytes::from(s.into_bytes()));
-///     })
-///     .start()
-///     .unwrap();
-///
-/// let req = rt.invoke(vec![("text".into(), Bytes::from_static(b"dataflower"))]);
-/// let outputs = rt.wait(req, std::time::Duration::from_secs(5)).unwrap();
-/// assert_eq!(outputs[0].1.as_ref(), b"REWOLFATAD");
-/// rt.shutdown();
-/// # Ok::<(), dataflower_workflow::WorkflowError>(())
-/// ```
-pub struct Runtime {
-    cluster: ClusterRuntime,
-}
-
-impl Runtime {
-    /// Invokes the workflow with client inputs `(data_name, payload)`.
-    /// Returns immediately; collect results with [`Runtime::wait`].
-    pub fn invoke(&self, inputs: Vec<(String, Bytes)>) -> ReqId {
-        self.cluster.invoke(inputs)
-    }
-
-    /// Blocks until every client output of `req` arrived, or `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterRuntime::wait`].
-    pub fn wait(&self, req: ReqId, timeout: Duration) -> Result<Vec<(String, Bytes)>, RtError> {
-        self.cluster.wait(req, timeout)
-    }
-
-    /// Abandons a request; see [`ClusterRuntime::forget`].
-    pub fn forget(&self, req: ReqId) {
-        self.cluster.forget(req)
-    }
-
-    /// Number of FLU executor threads serving `name` (scale-out view).
-    pub fn replicas_of(&self, name: &str) -> Option<usize> {
-        self.cluster.replicas_of(name)
-    }
-
-    /// Runtime counters.
-    pub fn stats(&self) -> RtStats {
-        self.cluster.stats()
-    }
-
-    /// Stops all threads and waits for them (clean teardown; prefer this
-    /// over relying on `Drop`, which detaches without joining).
-    pub fn shutdown(self) {
-        self.cluster.shutdown()
-    }
-}
-
-impl fmt::Debug for Runtime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Runtime")
-            .field("cluster", &self.cluster)
-            .finish()
-    }
-}
-
-/// Queues one invocation of `name` on its hosting node's work-stealing
-/// scheduler. The task captures a `Weak<Inner>`: if the runtime was
+/// Queues one invocation of `name` on its hosting node's scheduler.
+/// The task captures a `Weak<Inner>`: if the runtime was
 /// dropped before a worker gets to it, the invocation is discarded —
 /// consistent with detached teardown. A node whose DLU sender is gone
 /// (shutdown, or a remote node in wire mode) drops the invocation the
@@ -1985,8 +1731,8 @@ pub(crate) fn refresh_scheduler_active(inner: &Inner, node: usize) {
 /// let its [`ScalePolicy`] move the replica gauge between the bounds.
 /// A scale event does not spawn or retire threads — it resizes the
 /// hosting node's *active worker-slot window*
-/// ([`NodeScheduler::set_active`]), i.e. how much stealing parallelism
-/// the node's scheduler may use. Scaling happens under the shutdown
+/// ([`NodeScheduler::set_active`]), i.e. how many of the scheduler's
+/// workers may run at once. Scaling happens under the shutdown
 /// mutex so teardown always sees a consistent replica count.
 fn autoscaler(inner: Arc<Inner>) {
     let auto = inner.cfg.autoscale.clone();
@@ -2032,11 +1778,17 @@ fn autoscaler(inner: Arc<Inner>) {
             };
             let to_replicas = match direction {
                 ScaleDirection::Out => {
-                    inner.counters.scale_outs.fetch_add(1, Ordering::Relaxed);
+                    inner
+                        .counters
+                        .scale_out_events
+                        .fetch_add(1, Ordering::Relaxed);
                     scale.replicas.fetch_add(1, Ordering::SeqCst) + 1
                 }
                 ScaleDirection::In => {
-                    inner.counters.scale_ins.fetch_add(1, Ordering::Relaxed);
+                    inner
+                        .counters
+                        .scale_in_events
+                        .fetch_add(1, Ordering::Relaxed);
                     scale.replicas.fetch_sub(1, Ordering::SeqCst) - 1
                 }
             };
@@ -2192,7 +1944,10 @@ fn ship(
     }
     match kind {
         PipeKind::DirectSocket => {
-            inner.counters.direct_socket.fetch_add(1, Ordering::Relaxed);
+            inner
+                .counters
+                .direct_socket_transfers
+                .fetch_add(1, Ordering::Relaxed);
             if src_node == dst_node {
                 deliver(inner, dst_node, req, edge, key, payload.clone());
             } else {
@@ -2204,11 +1959,17 @@ fn ship(
             }
         }
         PipeKind::LocalPipe => {
-            inner.counters.local_pipe.fetch_add(1, Ordering::Relaxed);
+            inner
+                .counters
+                .local_pipe_transfers
+                .fetch_add(1, Ordering::Relaxed);
             deliver(inner, dst_node, req, edge, key, payload.clone());
         }
         PipeKind::RemotePipe => {
-            inner.counters.remote_pipe.fetch_add(1, Ordering::Relaxed);
+            inner
+                .counters
+                .remote_pipe_transfers
+                .fetch_add(1, Ordering::Relaxed);
             inner
                 .counters
                 .remote_bytes
@@ -2352,7 +2113,10 @@ pub(crate) fn chaos_ingress(inner: &Inner, src: usize, dst: usize, msg: NetMsg) 
                 // Lost in flight. The frame stays in the sender's
                 // retention window (recovery retransmits it once its ack
                 // times out); without recovery it is simply gone.
-                inner.counters.chaos_drops.fetch_add(1, Ordering::Relaxed);
+                inner
+                    .counters
+                    .chaos_dropped_frames
+                    .fetch_add(1, Ordering::Relaxed);
                 inner.trace_with(|| TraceEventKind::FaultFate {
                     src: src as u32,
                     dst: dst as u32,
@@ -2361,7 +2125,10 @@ pub(crate) fn chaos_ingress(inner: &Inner, src: usize, dst: usize, msg: NetMsg) 
                 return;
             }
             FrameFate::Duplicate => {
-                inner.counters.chaos_dups.fetch_add(1, Ordering::Relaxed);
+                inner
+                    .counters
+                    .chaos_duplicated_frames
+                    .fetch_add(1, Ordering::Relaxed);
                 inner.trace_with(|| TraceEventKind::FaultFate {
                     src: src as u32,
                     dst: dst as u32,
@@ -2370,7 +2137,10 @@ pub(crate) fn chaos_ingress(inner: &Inner, src: usize, dst: usize, msg: NetMsg) 
                 handle_net_msg(inner, src, dst, msg.clone());
             }
             FrameFate::Delay(d) => {
-                inner.counters.chaos_delays.fetch_add(1, Ordering::Relaxed);
+                inner
+                    .counters
+                    .chaos_delayed_frames
+                    .fetch_add(1, Ordering::Relaxed);
                 inner.trace_with(|| TraceEventKind::FaultFate {
                     src: src as u32,
                     dst: dst as u32,
@@ -2451,7 +2221,10 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
         }
     }
     if inner.nodes[dst_node].down.load(Ordering::SeqCst) {
-        inner.counters.frames_lost.fetch_add(1, Ordering::Relaxed);
+        inner
+            .counters
+            .frames_lost_to_crashes
+            .fetch_add(1, Ordering::Relaxed);
         return;
     }
     match msg {
@@ -2807,12 +2580,12 @@ pub(crate) fn retention_sources(inner: &Inner) -> std::ops::Range<usize> {
 pub(crate) fn account_replay(inner: &Inner, summary: ReplaySummary, stale: bool) -> Vec<NetMsg> {
     let c = &inner.counters;
     if stale {
-        c.retransmitted
+        c.retransmitted_transfers
             .fetch_add(summary.transfers, Ordering::Relaxed);
     } else {
         c.recovered_transfers
             .fetch_add(summary.transfers, Ordering::Relaxed);
-        c.resumed_from_mark
+        c.resumed_from_mark_bytes
             .fetch_add(summary.resumed_from_mark_bytes, Ordering::Relaxed);
     }
     let bytes: usize = summary.frames.iter().map(NetMsg::wire_bytes).sum();

@@ -1,26 +1,35 @@
-//! Per-node work-stealing task scheduler — the FLU execution core.
+//! Per-node task scheduler — the FLU execution core: one queue and up
+//! to N worker threads.
 //!
-//! Replaces the old thread-per-FLU executor pools: each node owns one
-//! [`NodeScheduler`] with a fixed array of worker *slots* (one per
-//! potential core slot, sized to the sum of every function's max
-//! replicas). Each slot has a local task deque; a shared injector
-//! receives submitted invocations. Workers pop locally first, then grab
-//! a batch from the injector, then steal half of another slot's deque —
-//! the classic Tokio/crossbeam shape, built from std primitives.
+//! Each node owns one [`NodeScheduler`] with a fixed number of worker
+//! *slots* (one per potential core slot, sized to the sum of every
+//! function's max replicas). Every invocation enters the one shared
+//! FIFO queue through [`NodeScheduler::submit`]; a worker pops the front
+//! and runs it. Nothing ever produced work *for a particular worker*, so
+//! there are no per-worker deques and nothing to steal.
 //!
-//! Elasticity is *stealing parallelism*, not thread count: the
-//! autoscaler moves [`NodeScheduler::set_active`] up and down, and a
-//! worker whose slot index falls outside the active window drains its
-//! local deque back to the injector (so scale-in never strands a queued
-//! task — pinned by the `scale_in_during_steal_loses_no_tasks` stress
-//! property) and parks until the window grows again. Worker threads are
-//! spawned lazily, on the first submission that finds no idle worker,
-//! so an idle node costs zero executor threads.
+//! Elasticity is *parallelism*, not thread count: the autoscaler moves
+//! [`NodeScheduler::set_active`] up and down, and a worker whose slot
+//! index falls outside the active window claims nothing and parks until
+//! the window grows again — queued tasks simply wait in the shared
+//! queue for the workers still inside it, so scale-in cannot strand one
+//! (pinned by the `scheduler_scale_in_mid_burst_loses_no_tasks` stress property).
+//! Worker threads are spawned lazily, on the first submission that finds
+//! no idle worker, so an idle node costs zero executor threads — and the
+//! herd a `submit` wakes is never larger than the window ever was.
 //!
-//! Shutdown keeps the old pools' drain guarantee: [`NodeScheduler::stop`]
-//! lets every worker keep executing until the injector and all deques
-//! are empty, then joins them — queued invocations submitted before the
-//! stop still run exactly once.
+//! Two locks, on purpose: the *queue* lock is what `submit` and a worker
+//! finishing a task need; the *park* lock (with the condvar) is where
+//! idle and retired workers sleep. `submit` wakes every parked worker
+//! (`notify_all`), and the woken herd re-parks on the park lock without
+//! touching the queue lock the producers are using. Folding both under
+//! one mutex was measured and lost closed-loop throughput on the
+//! end-to-end benchmark (ROADMAP item 3).
+//!
+//! Shutdown keeps the drain guarantee: [`NodeScheduler::stop`] lets every
+//! worker — retired slots included — keep executing until the queue is
+//! empty, then joins them; invocations submitted before the stop still
+//! run exactly once.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -29,10 +38,6 @@ use std::thread::JoinHandle;
 
 /// A unit of FLU work: one function invocation, boxed with its inputs.
 pub type Task = Box<dyn FnOnce() + Send>;
-
-/// How many injector tasks a worker claims per grab: it runs the first
-/// and stashes the rest on its local deque for itself or stealers.
-const INJECT_BATCH: usize = 8;
 
 #[derive(Debug, Default)]
 struct ParkState {
@@ -44,11 +49,11 @@ struct ParkState {
 }
 
 struct SchedInner {
-    /// Shared submission queue; workers pull batches from the front.
-    injector: Mutex<VecDeque<Task>>,
-    /// One local deque per slot. Owner pops the front; thieves split
-    /// half off the back.
-    deques: Vec<Mutex<VecDeque<Task>>>,
+    /// The one submission queue: `submit` pushes the back, workers pop
+    /// the front.
+    queue: Mutex<VecDeque<Task>>,
+    /// Total worker slots (the elasticity ceiling).
+    max_slots: usize,
     /// Slots currently allowed to run — the autoscaler's gauge.
     active: AtomicUsize,
     stop: AtomicBool,
@@ -59,14 +64,14 @@ struct SchedInner {
 impl std::fmt::Debug for SchedInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchedInner")
-            .field("slots", &self.deques.len())
+            .field("slots", &self.max_slots)
             .field("active", &self.active.load(Ordering::Relaxed))
             .field("stop", &self.stop.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-/// A node's work-stealing executor. Cheap to clone (shared handle).
+/// A node's FLU executor. Cheap to clone (shared handle).
 #[derive(Debug, Clone)]
 pub struct NodeScheduler {
     inner: Arc<SchedInner>,
@@ -82,10 +87,8 @@ impl NodeScheduler {
         let max_slots = max_slots.max(1);
         NodeScheduler {
             inner: Arc::new(SchedInner {
-                injector: Mutex::new(VecDeque::new()),
-                deques: (0..max_slots)
-                    .map(|_| Mutex::new(VecDeque::new()))
-                    .collect(),
+                queue: Mutex::new(VecDeque::new()),
+                max_slots,
                 active: AtomicUsize::new(active.clamp(1, max_slots)),
                 stop: AtomicBool::new(false),
                 park: Mutex::new(ParkState::default()),
@@ -98,13 +101,13 @@ impl NodeScheduler {
 
     /// Queues a task for execution. Spawns a worker thread lazily when
     /// no idle worker exists and the active window has unspawned slots;
-    /// otherwise wakes a parked worker. Tasks submitted after
+    /// otherwise wakes the parked workers. Tasks submitted after
     /// [`Self::stop`] are still executed by the draining workers.
     pub fn submit(&self, task: Task) {
         self.inner
-            .injector
+            .queue
             .lock()
-            .expect("scheduler injector poisoned")
+            .expect("scheduler queue poisoned")
             .push_back(task);
         let mut park = self.inner.park.lock().expect("scheduler park poisoned");
         if park.idle == 0 && park.spawned < self.inner.active.load(Ordering::Acquire) {
@@ -130,9 +133,9 @@ impl NodeScheduler {
 
     /// Resizes the active-slot window (clamped to `1..=max_slots`).
     /// Growing wakes parked workers; shrinking makes out-of-window
-    /// workers drain their deques back to the injector and park.
+    /// workers park after the task they are running.
     pub fn set_active(&self, n: usize) {
-        let n = n.clamp(1, self.inner.deques.len());
+        let n = n.clamp(1, self.inner.max_slots);
         self.inner.active.store(n, Ordering::Release);
         let _g = self.inner.park.lock().expect("scheduler park poisoned");
         self.inner.cv.notify_all();
@@ -145,28 +148,23 @@ impl NodeScheduler {
 
     /// Total worker slots (the elasticity ceiling).
     pub fn max_slots(&self) -> usize {
-        self.inner.deques.len()
+        self.inner.max_slots
     }
 
     /// Tasks queued but not yet claimed by a worker (racy snapshot).
     pub fn queued(&self) -> usize {
-        let mut n = self
-            .inner
-            .injector
+        self.inner
+            .queue
             .lock()
-            .expect("scheduler injector poisoned")
-            .len();
-        for d in &self.inner.deques {
-            n += d.lock().expect("scheduler deque poisoned").len();
-        }
-        n
+            .expect("scheduler queue poisoned")
+            .len()
     }
 
     /// Signals the scheduler to stop without waiting: workers wake,
-    /// finish every queued task (injector and all deques drain to
-    /// empty) and exit on their own. Pair with [`NodeScheduler::stop`]
-    /// to also join them; detached teardown (`Drop` paths) uses this
-    /// alone so it never blocks.
+    /// finish every queued task (the queue drains to empty) and exit on
+    /// their own. Pair with [`NodeScheduler::stop`] to also join them;
+    /// detached teardown (`Drop` paths) uses this alone so it never
+    /// blocks.
     pub fn signal_stop(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         let _g = self.inner.park.lock().expect("scheduler park poisoned");
@@ -184,87 +182,18 @@ impl NodeScheduler {
     }
 }
 
-/// Claims one runnable task for `slot`, or `None` when every queue the
-/// worker may touch is empty.
+/// Claims the next task for `slot`. A slot outside the active window
+/// claims nothing — unless the scheduler is stopping, when every worker
+/// helps drain the queue.
 fn claim(inner: &SchedInner, slot: usize, stopping: bool) -> Option<Task> {
-    // Retired slot: push local work back to the shared injector so the
-    // active workers (or this worker itself, while draining at stop)
-    // pick it up — scale-in must never strand a queued task.
-    let retired = slot >= inner.active.load(Ordering::Acquire);
-    if retired {
-        // Take the local tasks out first, then re-inject without holding
-        // the deque lock (keeps every lock pair in injector→deque order).
-        let orphans: Vec<Task> = {
-            let mut local = inner.deques[slot].lock().expect("scheduler deque poisoned");
-            local.drain(..).collect()
-        };
-        if !orphans.is_empty() {
-            inner
-                .injector
-                .lock()
-                .expect("scheduler injector poisoned")
-                .extend(orphans);
-            // The active workers may all be parked: hand them the
-            // re-injected tasks.
-            let _g = inner.park.lock().expect("scheduler park poisoned");
-            inner.cv.notify_all();
-        }
-        // While stopping, retired workers still help drain the injector;
-        // otherwise they run nothing.
-        if !stopping {
-            return None;
-        }
-    } else if let Some(task) = inner.deques[slot]
-        .lock()
-        .expect("scheduler deque poisoned")
-        .pop_front()
-    {
-        return Some(task);
-    }
-
-    // Injector batch-grab: run the first claimed task now, stash the
-    // rest locally for later pops (and for thieves).
-    {
-        let mut inj = inner.injector.lock().expect("scheduler injector poisoned");
-        if let Some(first) = inj.pop_front() {
-            if !retired {
-                let extra = (inj.len() / 2).min(INJECT_BATCH - 1);
-                if extra > 0 {
-                    let mut local = inner.deques[slot].lock().expect("scheduler deque poisoned");
-                    local.extend(inj.drain(..extra));
-                }
-            }
-            return Some(first);
-        }
-    }
-    if retired {
+    if !stopping && slot >= inner.active.load(Ordering::Acquire) {
         return None;
     }
-
-    // Steal: split half off the back of another slot's deque.
-    let slots = inner.deques.len();
-    for k in 1..slots {
-        let victim = (slot + k) % slots;
-        let mut v = inner.deques[victim]
-            .lock()
-            .expect("scheduler deque poisoned");
-        let take = v.len().div_ceil(2);
-        if take == 0 {
-            continue;
-        }
-        let split_at = v.len() - take;
-        let stolen: Vec<Task> = v.drain(split_at..).collect();
-        drop(v);
-        let mut it = stolen.into_iter();
-        let first = it.next().expect("stole ≥ 1 task");
-        let rest: Vec<Task> = it.collect();
-        if !rest.is_empty() {
-            let mut local = inner.deques[slot].lock().expect("scheduler deque poisoned");
-            local.extend(rest);
-        }
-        return Some(first);
-    }
-    None
+    inner
+        .queue
+        .lock()
+        .expect("scheduler queue poisoned")
+        .pop_front()
 }
 
 fn worker(inner: Arc<SchedInner>, slot: usize) {
@@ -274,27 +203,22 @@ fn worker(inner: Arc<SchedInner>, slot: usize) {
             task();
             continue;
         }
-        // Nothing claimable. At stop, exit once the shared queues are
-        // visibly empty — a worker never exits with work it could run.
+        // Nothing claimable. At stop, exit once the queue is visibly
+        // empty — a worker never exits with work it could run.
         let mut park = inner.park.lock().expect("scheduler park poisoned");
-        if inner.stop.load(Ordering::Acquire) {
-            let empty = inner
-                .injector
-                .lock()
-                .expect("scheduler injector poisoned")
-                .is_empty();
-            if empty {
-                return;
-            }
-            continue;
-        }
-        // Re-check for work under the park lock (submit notifies under
-        // the same lock, so this cannot miss a wakeup), then park.
         let has_work = !inner
-            .injector
+            .queue
             .lock()
-            .expect("scheduler injector poisoned")
+            .expect("scheduler queue poisoned")
             .is_empty();
+        if inner.stop.load(Ordering::Acquire) {
+            if has_work {
+                continue;
+            }
+            return;
+        }
+        // `has_work` was read under the park lock and submit notifies
+        // under the same lock, so parking now cannot miss a wakeup.
         if has_work && slot < inner.active.load(Ordering::Acquire) {
             continue;
         }
@@ -308,6 +232,7 @@ fn worker(inner: Arc<SchedInner>, slot: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn runs_submitted_tasks_exactly_once() {
@@ -333,8 +258,11 @@ mod tests {
         sched.stop();
     }
 
+    /// Scale-in mid-burst loses no task: what the retired slots no
+    /// longer claim stays queued for the one slot left (and for every
+    /// worker once `stop` drains).
     #[test]
-    fn scale_in_drains_retired_deques() {
+    fn scale_in_mid_burst_runs_every_task() {
         let sched = NodeScheduler::new("t", 4, 4);
         let hits = Arc::new(AtomicU64::new(0));
         let gate = Arc::new(AtomicBool::new(false));
@@ -352,6 +280,67 @@ mod tests {
         gate.store(true, Ordering::Release);
         sched.stop();
         assert_eq!(hits.load(Ordering::SeqCst), 500);
+    }
+
+    /// The active window bounds parallelism: with every worker thread
+    /// already spawned, `set_active(k)` caps concurrently running tasks
+    /// at `k`, and growing the window lets the rest in again.
+    #[test]
+    fn active_window_bounds_parallelism() {
+        const M: usize = 4;
+        const K: usize = 2;
+        let sched = NodeScheduler::new("t", M, M);
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new(AtomicBool::new(false));
+        // Each task counts itself in, then holds its worker until the
+        // gate opens.
+        let burst = |n: usize| {
+            for _ in 0..n {
+                let (running, peak, gate) =
+                    (Arc::clone(&running), Arc::clone(&peak), Arc::clone(&gate));
+                sched.submit(Box::new(move || {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                }));
+            }
+        };
+        let wait_for_running = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while running.load(Ordering::SeqCst) != n {
+                assert!(Instant::now() < deadline, "never saw {n} running");
+                std::thread::yield_now();
+            }
+        };
+
+        // M gated tasks need M threads at once: every slot gets spawned.
+        burst(M);
+        wait_for_running(M);
+        assert_eq!(sched.inner.park.lock().unwrap().spawned, M);
+        gate.store(true, Ordering::Release);
+        wait_for_running(0);
+        gate.store(false, Ordering::Release);
+        peak.store(0, Ordering::SeqCst);
+
+        sched.set_active(K);
+        burst(2 * M);
+        wait_for_running(K);
+        // Grace for a scheduler without the window to show itself: its
+        // retired workers were woken by every submit above.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(peak.load(Ordering::SeqCst), K);
+        assert_eq!(sched.queued(), 2 * M - K);
+
+        sched.set_active(M);
+        wait_for_running(M);
+        gate.store(true, Ordering::Release);
+        sched.stop();
+        assert_eq!(peak.load(Ordering::SeqCst), M);
+        assert_eq!(running.load(Ordering::SeqCst), 0);
     }
 
     #[test]

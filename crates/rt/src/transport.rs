@@ -66,8 +66,8 @@ use crate::bytes::Bytes;
 use crate::channel::Receiver;
 use crate::error::RtError;
 use crate::fabric::{NetMsg, SHIPPER_BATCH};
-use crate::node::Placement;
-use crate::orchestrator::{activate_pool, fallback_relocate, rehome_retention};
+use crate::node::{least_pressured, Placement};
+use crate::orchestrator::{activate_pool, rehome_retention};
 use crate::runtime::{
     chaos_ingress, depth_of, handle_net_msg, node_pressure_of, retention_of, take_replay,
     ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId, RtStats,
@@ -267,7 +267,7 @@ impl WorkerEnv {
                     }
                     inner
                         .counters
-                        .relocated_fns
+                        .relocated_functions
                         .fetch_add(activated as u64, Ordering::Relaxed);
                     format!("{{\"ok\":true,\"activated\":{activated}}}")
                 }
@@ -815,7 +815,7 @@ fn coord_relocate(ctl: &CoordCtl, dead: usize) {
         for f in wf.function_ids() {
             let name = &wf.function(f).name;
             if p.node_of(name) == dead {
-                let to = fallback_relocate(&live, &pressure);
+                let to = least_pressured(&live, &pressure);
                 p.reassign(name.clone(), to);
                 assign.push(format!("\"{name}\":{to}"));
             }

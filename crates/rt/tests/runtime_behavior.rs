@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dataflower_rt::{
-    Bytes, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, LinkConfig, Placement, RtConfig,
-    RtError, RuntimeBuilder,
+    Bytes, ClusterConfig, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, LinkConfig,
+    Placement, RtConfig, RtError,
 };
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder};
 
@@ -83,14 +83,14 @@ fn concurrent_requests_are_isolated() {
 #[test]
 fn unregistered_function_rejected_at_start() {
     let wf = wc_workflow(1);
-    let err = RuntimeBuilder::new(wf).start().unwrap_err();
+    let err = ClusterRuntimeBuilder::new(wf).start().unwrap_err();
     assert!(matches!(err, RtError::UnregisteredFunction(_)));
 }
 
 #[test]
 fn unknown_registration_rejected() {
     let wf = wc_workflow(1);
-    let err = RuntimeBuilder::new(Arc::clone(&wf))
+    let err = ClusterRuntimeBuilder::new(Arc::clone(&wf))
         .register("start", |_| {})
         .register("count_0", |_| {})
         .register("merge", |_| {})
@@ -103,7 +103,7 @@ fn unknown_registration_rejected() {
 #[test]
 fn unknown_put_faults_the_request() {
     let wf = wc_workflow(1);
-    let rt = RuntimeBuilder::new(wf)
+    let rt = ClusterRuntimeBuilder::new(wf)
         .register("start", |ctx| {
             ctx.put("file", Bytes::from_static(b"x"));
         })
@@ -124,7 +124,7 @@ fn unknown_put_faults_the_request() {
 #[test]
 fn wait_times_out_when_a_function_stalls() {
     let wf = wc_workflow(1);
-    let rt = RuntimeBuilder::new(wf)
+    let rt = ClusterRuntimeBuilder::new(wf)
         .register("start", |ctx| {
             ctx.put("file", Bytes::from_static(b"x"));
         })
@@ -154,7 +154,7 @@ fn wait_with_expired_deadline_times_out_instead_of_panicking() {
     // one raced past while the request lock was being acquired — must
     // yield a clean `Timeout`.
     let wf = wc_workflow(1);
-    let rt = RuntimeBuilder::new(wf)
+    let rt = ClusterRuntimeBuilder::new(wf)
         .register("start", |ctx| {
             ctx.put("file", Bytes::from_static(b"x"));
         })
@@ -184,7 +184,7 @@ fn wait_with_expired_deadline_times_out_instead_of_panicking() {
 #[test]
 fn replicas_scale_out_executors() {
     let rt_builder_wf = wc_workflow(2);
-    let rt = RuntimeBuilder::new(rt_builder_wf)
+    let rt = ClusterRuntimeBuilder::new(rt_builder_wf)
         .register("start", |ctx| {
             for i in 0..2 {
                 ctx.put_to("file", format!("count_{i}"), Bytes::from_static(b"a b"));
@@ -220,11 +220,11 @@ fn janitor_spills_unconsumed_inputs() {
     // so merge never fires and count_0's output sits in the sink past the
     // TTL.
     let wf = wc_workflow(2);
-    let rt = RuntimeBuilder::new(wf)
-        .config(RtConfig {
+    let rt = ClusterRuntimeBuilder::new(wf)
+        .config(ClusterConfig::new().node(RtConfig {
             sink_ttl: Some(Duration::from_millis(50)),
             ..RtConfig::default()
-        })
+        }))
         .register("start", |ctx| {
             ctx.put_to("file", "count_0", Bytes::from_static(b"solo"));
         })
@@ -261,7 +261,7 @@ fn mid_function_put_triggers_downstream_before_producer_returns() {
     let flag_c = Arc::clone(&started_early);
     let run_c = Arc::clone(&start_running);
     let run_s = Arc::clone(&start_running);
-    let rt = RuntimeBuilder::new(wf)
+    let rt = ClusterRuntimeBuilder::new(wf)
         .register("start", move |ctx| {
             run_s.store(true, Ordering::SeqCst);
             ctx.put("file", Bytes::from_static(b"payload"));

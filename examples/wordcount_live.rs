@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dataflower_rt::{Bytes, RuntimeBuilder};
+use dataflower_rt::{Bytes, ClusterRuntimeBuilder};
 use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder};
 
 const FAN_OUT: usize = 4;
@@ -35,7 +35,7 @@ fn main() {
     let wf = Arc::new(b.build().expect("valid workflow"));
 
     // FLU bodies: start splits, counts count, merge folds.
-    let mut builder = RuntimeBuilder::new(Arc::clone(&wf)).register("wc_start", |ctx| {
+    let mut builder = ClusterRuntimeBuilder::new(Arc::clone(&wf)).register("wc_start", |ctx| {
         let text = String::from_utf8_lossy(ctx.input("text").expect("client text")).into_owned();
         let words: Vec<&str> = text.split_whitespace().collect();
         let shard = words.len().div_ceil(FAN_OUT);

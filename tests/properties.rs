@@ -1416,19 +1416,18 @@ fn link_queue_full_empty_boundaries_hold_for_every_capacity() {
     );
 }
 
-/// Every task submitted to the work-stealing scheduler runs exactly
-/// once under random steal interleavings and concurrent scale churn:
-/// lazily-spawned workers, batch injector grabs, steals off other
-/// slots' deques, and `set_active` resizes mid-flight never lose or
-/// double-run an invocation.
+/// Every task submitted to the node scheduler runs exactly once under
+/// concurrent `set_active` churn: lazily-spawned workers racing for the
+/// shared queue and window resizes mid-flight never lose or double-run
+/// an invocation.
 #[test]
-fn scheduler_runs_each_task_exactly_once_under_steal_churn() {
+fn scheduler_runs_each_task_exactly_once_under_set_active_churn() {
     use dataflower_rt::NodeScheduler;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     check(
-        "scheduler_runs_each_task_exactly_once_under_steal_churn",
+        "scheduler_runs_each_task_exactly_once_under_set_active_churn",
         |g| {
             let max_slots = g.usize_in(2, 7);
             let sched = NodeScheduler::new("prop", max_slots, g.usize_in(1, max_slots + 1));
@@ -1440,7 +1439,7 @@ fn scheduler_runs_each_task_exactly_once_under_steal_churn() {
                 sched.submit(Box::new(move || {
                     runs[i].fetch_add(1, Ordering::SeqCst);
                     if i % 5 == 0 {
-                        std::thread::yield_now(); // vary worker/stealer overlap
+                        std::thread::yield_now(); // vary how the workers overlap
                     }
                 }));
                 if g.usize_in(0, 8) == 0 {
@@ -1455,18 +1454,18 @@ fn scheduler_runs_each_task_exactly_once_under_steal_churn() {
     );
 }
 
-/// Stress: scaling in while workers are mid-steal loses no queued task.
-/// A burst is submitted at full width, the window collapses to one slot
-/// while every worker still holds local work, then widens again — the
-/// retired slots' deques must flow back through the injector so the
-/// whole burst still runs exactly once.
+/// Stress: scaling in mid-burst loses no queued task. A burst is
+/// submitted at full width, the window collapses to one slot while the
+/// queue is still loaded, then widens again — what the retired slots no
+/// longer claim must stay claimable, so the whole burst still runs
+/// exactly once.
 #[test]
-fn scheduler_scale_in_during_steal_loses_no_tasks() {
+fn scheduler_scale_in_mid_burst_loses_no_tasks() {
     use dataflower_rt::NodeScheduler;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    check("scheduler_scale_in_during_steal_loses_no_tasks", |g| {
+    check("scheduler_scale_in_mid_burst_loses_no_tasks", |g| {
         let max_slots = g.usize_in(3, 7);
         let sched = NodeScheduler::new("prop-stress", max_slots, max_slots);
         let total = g.usize_in(100, 600);
@@ -1477,7 +1476,7 @@ fn scheduler_scale_in_during_steal_loses_no_tasks() {
             let runs = Arc::clone(&runs);
             sched.submit(Box::new(move || {
                 runs[i].fetch_add(1, Ordering::SeqCst);
-                std::thread::yield_now(); // keep deques non-empty mid-collapse
+                std::thread::yield_now(); // keep the queue loaded mid-collapse
             }));
             if i == collapse_after {
                 sched.set_active(1); // retire all but one slot mid-burst
