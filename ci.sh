@@ -75,10 +75,11 @@ fi
 # docs must resolve (the CI `docs` job runs the same script).
 run ./scripts/linkcheck.sh
 
-# Code lines per crates/rt/src file, so a PR's "net-negative" is a number
-# anyone can reproduce. Printed, never gating.
-echo "==> ./scripts/loc.sh (report only)"
-./scripts/loc.sh || true
+# Code lines per file of the live runtime and of the scenario crate, with
+# a subtotal per directory, so a PR's "net-negative" is a number anyone
+# can reproduce. Printed, never gating.
+echo "==> ./scripts/loc.sh crates/rt/src crates/workloads/src (report only)"
+./scripts/loc.sh crates/rt/src crates/workloads/src || true
 
 # Examples smoke pass: doc-level entry points must keep running.
 for ex in examples/*.rs; do

@@ -121,7 +121,7 @@ pub struct FnBreakdown {
 /// ```
 /// use std::sync::Arc;
 /// use dataflower_baselines::{ControlFlowConfig, ControlFlowEngine};
-/// use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+/// use dataflower_cluster::{run_to_idle, TestbedConfig, SpreadPlacement, World};
 /// use dataflower_sim::SimTime;
 /// use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder, MB};
 ///
@@ -133,7 +133,7 @@ pub struct FnBreakdown {
 /// b.client_output(z, "out", SizeModel::Fixed(1024.0));
 /// let wf = Arc::new(b.build()?);
 ///
-/// let mut world = World::new(ClusterConfig::default());
+/// let mut world = World::new(TestbedConfig::default());
 /// let id = world.add_workflow(wf);
 /// world.submit_request(id, MB, SimTime::ZERO);
 /// let mut engine = ControlFlowEngine::new(ControlFlowConfig::faasflow(), SpreadPlacement);

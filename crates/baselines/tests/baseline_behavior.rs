@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dataflower::{DataFlowerConfig, DataFlowerEngine};
 use dataflower_baselines::{ControlFlowConfig, ControlFlowEngine};
 use dataflower_cluster::{
-    run, run_to_idle, ClusterConfig, RunReport, SpreadPlacement, TriggerKind, World,
+    run, run_to_idle, RunReport, SpreadPlacement, TestbedConfig, TriggerKind, World,
 };
 use dataflower_sim::{SimDuration, SimTime};
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder, MB};
@@ -31,7 +31,7 @@ fn fanout_wf(fan_out: usize, input_mb: f64) -> Arc<Workflow> {
 }
 
 fn run_one(cfg: ControlFlowConfig, wf: Arc<Workflow>, n: usize) -> RunReport {
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let id = world.add_workflow(wf);
     for i in 0..n {
         world.submit_request(id, 4.0 * MB, SimTime::from_millis(500 * i as u64));
@@ -58,9 +58,9 @@ fn all_baselines_complete_requests() {
 
 #[test]
 fn centralized_triggering_overhead_is_visible() {
-    let cluster = ClusterConfig {
+    let cluster = TestbedConfig {
         trace_triggers: true,
-        ..ClusterConfig::default()
+        ..TestbedConfig::default()
     };
     let mut world = World::new(cluster);
     let wf_def = fanout_wf(2, 1.0);
@@ -95,7 +95,7 @@ fn centralized_triggering_overhead_is_visible() {
 fn dataflower_beats_control_flow_on_latency() {
     let wf = fanout_wf(4, 4.0);
 
-    let mut df_world = World::new(ClusterConfig::default());
+    let mut df_world = World::new(TestbedConfig::default());
     let id = df_world.add_workflow(Arc::clone(&wf));
     for i in 0..5 {
         df_world.submit_request(id, 4.0 * MB, SimTime::from_secs(3 * i));
@@ -105,7 +105,7 @@ fn dataflower_beats_control_flow_on_latency() {
 
     for cfg in [ControlFlowConfig::faasflow(), ControlFlowConfig::sonic()] {
         let label = cfg.label.as_str();
-        let mut world = World::new(ClusterConfig::default());
+        let mut world = World::new(TestbedConfig::default());
         let id = world.add_workflow(Arc::clone(&wf));
         for i in 0..5 {
             world.submit_request(id, 4.0 * MB, SimTime::from_secs(3 * i));
@@ -125,7 +125,7 @@ fn dataflower_beats_control_flow_on_latency() {
 #[test]
 fn breakdown_records_comm_and_comp() {
     let wf = fanout_wf(2, 4.0);
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let id = world.add_workflow(wf);
     world.submit_request(id, 4.0 * MB, SimTime::ZERO);
     let mut engine = ControlFlowEngine::new(ControlFlowConfig::centralized(), SpreadPlacement);
@@ -147,7 +147,7 @@ fn breakdown_records_comm_and_comp() {
 #[test]
 fn faasflow_cache_freed_at_request_completion() {
     // Single-node placement → all edges cached in local memory.
-    let mut cluster = ClusterConfig::single_node();
+    let mut cluster = TestbedConfig::single_node();
     cluster.trace_triggers = false;
     let mut world = World::new(cluster);
     let wf = world.add_workflow(fanout_wf(2, 2.0));

@@ -58,8 +58,8 @@ use dataflower_sim::{EventQueue, FlowNet, SimTime};
 use dataflower_workflow::{EdgeId, FnId};
 use dataflower_workloads::{
     bench_input, launch_bench_cluster, loadgen, run_diff_fuzz, serve_worker_if_spawned, Benchmark,
-    ChaosClusterConfig, FaultMode, FuzzConfig, LivePlacement, LoadgenConfig, Scenario, SystemKind,
-    TcpProfile, WorkloadSpec,
+    FaultMode, FuzzConfig, LivePlacement, LoadgenConfig, Scenario, SystemKind, TcpProfile,
+    WorkloadSpec,
 };
 
 /// Exit code when a regression exceeds the tolerance.
@@ -354,10 +354,12 @@ fn recovery_benchmarks(h: &Harness) {
             "recovery",
             &format!("chaos_wc_crash_replay/interval_{label}"),
             || {
-                // Start from the chaos scenario's default runtime knobs
-                // and pin only the checkpoint interval under test.
-                let mut rt = ChaosClusterConfig::default().rt;
-                rt.checkpoint_interval_bytes = interval;
+                // Start from the chaos scenario's runtime knobs (the
+                // runner re-seeds the fault plan from the spec) and pin
+                // only the checkpoint interval under test.
+                let rt = TcpProfile::Chaos
+                    .rt_config(0)
+                    .checkpoint_interval_bytes(interval);
                 let report = WorkloadSpec::new()
                     .benchmark(Benchmark::Wc)
                     .faults(FaultMode::ChaosCrashRestart)
@@ -415,16 +417,16 @@ fn control_plane_benchmarks(h: &Harness) {
             "control_plane",
             &format!("heartbeat_overhead/wc_{label}"),
             move || {
-                let mut builder = ClusterConfig::new().recovery(Duration::from_millis(50));
+                let mut cfg = ClusterConfig::new().recovery(Duration::from_millis(50));
                 if heartbeats {
-                    builder = builder.heartbeat(Duration::from_millis(10), 3);
+                    cfg = cfg.heartbeat(Duration::from_millis(10), 3);
                 }
                 let report = WorkloadSpec::new()
                     .benchmark(Benchmark::Wc)
                     .nodes(3)
                     .requests(2)
                     .payload_bytes(128 * 1024)
-                    .config(builder.build())
+                    .config(cfg)
                     .run();
                 assert_eq!(report.stats.node_losses, 0);
                 assert_eq!(report.stats.heartbeats > 0, heartbeats);

@@ -4,7 +4,7 @@
 //! overhead of the production orchestrator's state machine.
 
 use dataflower_baselines::{ControlFlowConfig, ControlFlowEngine};
-use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, TriggerKind, World};
+use dataflower_cluster::{run_to_idle, SpreadPlacement, TestbedConfig, TriggerKind, World};
 use dataflower_metrics::{fmt_f, Table};
 use dataflower_sim::SimTime;
 use dataflower_workloads::Benchmark;
@@ -35,7 +35,7 @@ pub fn fig2a() -> String {
 /// Runs solo requests of `b` under the centralized orchestrator and
 /// returns `(comm share, mean E2E seconds)`.
 pub fn characterize(b: Benchmark) -> (f64, f64) {
-    let mut world = World::new(ClusterConfig::default().with_seed(2));
+    let mut world = World::new(TestbedConfig::default().with_seed(2));
     let id = world.add_workflow(b.workflow());
     for i in 0..3 {
         world.submit_request(id, b.default_payload(), SimTime::from_secs(40 * i));
@@ -59,7 +59,7 @@ pub fn fig2b() -> String {
         "CPU/network usage timeline under control flow (staggered peaks)",
     );
     for b in Benchmark::ALL {
-        let mut cluster = ClusterConfig::default().with_seed(3);
+        let mut cluster = TestbedConfig::default().with_seed(3);
         cluster.trace_usage = true;
         let mut world = World::new(cluster);
         let id = world.add_workflow(b.workflow());
@@ -104,7 +104,7 @@ pub fn fig2c() -> String {
     let mut grand_sum = 0.0;
     let mut grand_n = 0usize;
     for b in Benchmark::ALL {
-        let mut cluster = ClusterConfig::default().with_seed(4);
+        let mut cluster = TestbedConfig::default().with_seed(4);
         cluster.trace_triggers = true;
         let mut world = World::new(cluster);
         let wf = b.workflow();

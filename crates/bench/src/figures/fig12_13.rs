@@ -4,7 +4,7 @@
 use dataflower::{DataFlowerConfig, DataFlowerEngine};
 use dataflower_baselines::{ControlFlowConfig, ControlFlowEngine};
 use dataflower_cluster::{
-    run_to_idle, ClusterConfig, Orchestrator, RequestId, SingleNodePlacement, TriggerKind, World,
+    run_to_idle, Orchestrator, RequestId, SingleNodePlacement, TestbedConfig, TriggerKind, World,
 };
 use dataflower_metrics::{fmt_f, Table};
 use dataflower_sim::SimTime;
@@ -84,7 +84,7 @@ pub fn fig13() -> String {
         ),
     ];
     for (label, make) in systems {
-        let mut cluster = ClusterConfig::single_node().with_seed(5);
+        let mut cluster = TestbedConfig::single_node().with_seed(5);
         cluster.trace_triggers = true;
         let mut world = World::new(cluster);
         let wf = dataflower_workloads::wordcount(dataflower_workloads::WcParams {

@@ -3,7 +3,7 @@
 
 use dataflower::{DataFlowerConfig, DataFlowerEngine};
 use dataflower_baselines::{ControlFlowConfig, ControlFlowEngine};
-use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+use dataflower_cluster::{run_to_idle, SpreadPlacement, TestbedConfig, World};
 use dataflower_metrics::{fmt_f, Table};
 use dataflower_sim::SimTime;
 use dataflower_workloads::{Benchmark, Scenario, SystemKind};
@@ -78,7 +78,7 @@ pub fn fig19() -> String {
     let mut t = Table::new(vec!["benchmark", "StateMachine", "DataFlower", "reduction"]);
     for b in Benchmark::ALL {
         // State machine deployment.
-        let mut world = World::new(ClusterConfig::default().with_seed(6));
+        let mut world = World::new(TestbedConfig::default().with_seed(6));
         let id = world.add_workflow(b.workflow());
         for i in 0..3 {
             world.submit_request(id, b.default_payload(), SimTime::from_secs(40 * i));
@@ -89,7 +89,7 @@ pub fn fig19() -> String {
         let sm_per_req = sm_mean * sm_ops as f64 / sm_report.primary().completed.max(1) as f64;
 
         // DataFlower streaming pipes.
-        let mut world = World::new(ClusterConfig::default().with_seed(6));
+        let mut world = World::new(TestbedConfig::default().with_seed(6));
         let id = world.add_workflow(b.workflow());
         for i in 0..3 {
             world.submit_request(id, b.default_payload(), SimTime::from_secs(40 * i));

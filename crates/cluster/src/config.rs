@@ -118,9 +118,11 @@ impl Default for StorageSpec {
     }
 }
 
-/// Full cluster configuration.
+/// The simulated §9.1 testbed: worker nodes, the storage node and the
+/// cold-start model. (The live runtime's knobs are
+/// `dataflower_rt::ClusterConfig`.)
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterConfig {
+pub struct TestbedConfig {
     /// Worker nodes (3 in the paper).
     pub workers: Vec<NodeSpec>,
     /// Backend storage node.
@@ -148,9 +150,9 @@ pub struct ClusterConfig {
     pub seed: u64,
 }
 
-impl Default for ClusterConfig {
+impl Default for TestbedConfig {
     fn default() -> Self {
-        ClusterConfig {
+        TestbedConfig {
             workers: vec![NodeSpec::default(); 3],
             storage: StorageSpec::default(),
             cold_start: SimDuration::from_millis(350),
@@ -167,13 +169,13 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
+impl TestbedConfig {
     /// A single-worker configuration (used by the Fig. 13 single-node
     /// experiment).
     pub fn single_node() -> Self {
-        ClusterConfig {
+        TestbedConfig {
             workers: vec![NodeSpec::default()],
-            ..ClusterConfig::default()
+            ..TestbedConfig::default()
         }
     }
 
@@ -207,10 +209,10 @@ mod tests {
 
     #[test]
     fn default_cluster_matches_paper_shape() {
-        let c = ClusterConfig::default();
+        let c = TestbedConfig::default();
         assert_eq!(c.workers.len(), 3);
         assert_eq!(c.keep_alive, SimDuration::from_secs(900));
         assert_eq!(c.direct_threshold_bytes, 16384.0);
-        assert_eq!(ClusterConfig::single_node().workers.len(), 1);
+        assert_eq!(TestbedConfig::single_node().workers.len(), 1);
     }
 }

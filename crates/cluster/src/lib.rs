@@ -29,7 +29,7 @@ mod placement;
 mod report;
 mod world;
 
-pub use config::{ClusterConfig, ContainerSpec, NodeSpec, StorageSpec};
+pub use config::{ContainerSpec, NodeSpec, StorageSpec, TestbedConfig};
 pub use driver::{run, run_to_idle};
 pub use engine::Orchestrator;
 pub use ids::{ContainerId, NodeId, RequestId, WfId};

@@ -75,10 +75,10 @@ impl Placement for LoadAwarePlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ClusterConfig;
+    use crate::config::TestbedConfig;
 
     fn world() -> World {
-        World::new(ClusterConfig::default())
+        World::new(TestbedConfig::default())
     }
 
     #[test]

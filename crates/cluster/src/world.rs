@@ -16,7 +16,7 @@ use dataflower_sim::{
 };
 use dataflower_workflow::{ActiveGraph, FnId, Workflow};
 
-use crate::config::{ClusterConfig, ContainerSpec};
+use crate::config::{ContainerSpec, TestbedConfig};
 use crate::ids::{ContainerId, NodeId, RequestId, WfId};
 
 /// Lifecycle state of a container.
@@ -249,7 +249,7 @@ struct ClientLoop {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use dataflower_cluster::{ClusterConfig, ContainerSpec, NodeId, World};
+/// use dataflower_cluster::{TestbedConfig, ContainerSpec, NodeId, World};
 /// use dataflower_sim::SimTime;
 /// use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder};
 ///
@@ -259,14 +259,14 @@ struct ClientLoop {
 /// b.client_output(f, "out", SizeModel::Fixed(16.0));
 /// let wf = Arc::new(b.build().unwrap());
 ///
-/// let mut world = World::new(ClusterConfig::default());
+/// let mut world = World::new(TestbedConfig::default());
 /// let wf_id = world.add_workflow(wf);
 /// let req = world.submit_request(wf_id, 1024.0, SimTime::ZERO);
 /// assert_eq!(world.request(req).payload_bytes, 1024.0);
 /// ```
 #[derive(Debug)]
 pub struct World {
-    cfg: ClusterConfig,
+    cfg: TestbedConfig,
     now: SimTime,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) net: FlowNet,
@@ -290,7 +290,7 @@ pub struct World {
 
 impl World {
     /// Creates a world from a configuration.
-    pub fn new(cfg: ClusterConfig) -> Self {
+    pub fn new(cfg: TestbedConfig) -> Self {
         let mut net = FlowNet::new();
         let mut nodes = Vec::with_capacity(cfg.workers.len());
         for spec in &cfg.workers {
@@ -343,7 +343,7 @@ impl World {
     }
 
     /// The configuration this world was built with.
-    pub fn config(&self) -> &ClusterConfig {
+    pub fn config(&self) -> &TestbedConfig {
         &self.cfg
     }
 
@@ -752,7 +752,7 @@ impl World {
     }
 
     /// Records a trigger-trace entry (no-op unless
-    /// [`ClusterConfig::trace_triggers`] is set).
+    /// [`TestbedConfig::trace_triggers`] is set).
     pub fn note_trigger(&mut self, rec: TriggerRecord) {
         if self.cfg.trace_triggers {
             self.triggers.record(self.now, rec);
@@ -814,7 +814,7 @@ mod tests {
     }
 
     fn world() -> (World, WfId) {
-        let mut w = World::new(ClusterConfig::default());
+        let mut w = World::new(TestbedConfig::default());
         let wf = w.add_workflow(tiny_workflow());
         (w, wf)
     }

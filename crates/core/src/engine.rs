@@ -128,7 +128,7 @@ struct ReqState {
 /// ```
 /// use std::sync::Arc;
 /// use dataflower::{DataFlowerConfig, DataFlowerEngine};
-/// use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+/// use dataflower_cluster::{run_to_idle, TestbedConfig, SpreadPlacement, World};
 /// use dataflower_sim::SimTime;
 /// use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder, MB};
 ///
@@ -140,7 +140,7 @@ struct ReqState {
 /// b.client_output(z, "out", SizeModel::Fixed(1024.0));
 /// let wf = Arc::new(b.build()?);
 ///
-/// let mut world = World::new(ClusterConfig::default());
+/// let mut world = World::new(TestbedConfig::default());
 /// let wf_id = world.add_workflow(wf);
 /// world.submit_request(wf_id, MB, SimTime::ZERO);
 ///

@@ -32,7 +32,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use dataflower::{DataFlowerConfig, DataFlowerEngine};
-//! use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+//! use dataflower_cluster::{run_to_idle, TestbedConfig, SpreadPlacement, World};
 //! use dataflower_sim::SimTime;
 //! use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder, MB};
 //!
@@ -49,7 +49,7 @@
 //! b.client_output(merge, "result", SizeModel::Fixed(1024.0));
 //! let wf = Arc::new(b.build()?);
 //!
-//! let mut world = World::new(ClusterConfig::default());
+//! let mut world = World::new(TestbedConfig::default());
 //! let id = world.add_workflow(wf);
 //! world.submit_request(id, 2.0 * MB, SimTime::ZERO);
 //!

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dataflower::{DataFlowerConfig, DataFlowerEngine};
 use dataflower_cluster::{
-    run, run_to_idle, ClusterConfig, RequestId, SingleNodePlacement, SpreadPlacement, TriggerKind,
+    run, run_to_idle, RequestId, SingleNodePlacement, SpreadPlacement, TestbedConfig, TriggerKind,
     World,
 };
 use dataflower_sim::{SimDuration, SimTime};
@@ -51,7 +51,7 @@ fn pipeline(stages: usize, per_stage_secs: f64, edge_mb: f64) -> Arc<Workflow> {
 
 #[test]
 fn single_request_completes() {
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let wf = world.add_workflow(wordcount(4, 4.0));
     world.submit_request(wf, 4.0 * MB, SimTime::ZERO);
     let mut engine = DataFlowerEngine::new(DataFlowerConfig::default(), SpreadPlacement);
@@ -65,7 +65,7 @@ fn single_request_completes() {
 #[test]
 fn runs_are_deterministic() {
     let latency = |seed: u64| {
-        let mut world = World::new(ClusterConfig::default().with_seed(seed));
+        let mut world = World::new(TestbedConfig::default().with_seed(seed));
         let wf = world.add_workflow(wordcount(4, 4.0));
         world.schedule_open_loop(wf, 4.0 * MB, 60.0, SimDuration::from_secs(30));
         let mut engine = DataFlowerEngine::new(DataFlowerConfig::default(), SpreadPlacement);
@@ -90,7 +90,7 @@ fn early_triggering_starts_children_before_parent_finishes() {
     // transfer; we check the stronger paper property on a second request
     // where containers are warm: the child's Started precedes the
     // parent's Finished + trigger gap seen in control flow (~tens of ms).
-    let mut cfg = ClusterConfig::single_node();
+    let mut cfg = TestbedConfig::single_node();
     cfg.trace_triggers = true;
     let mut world = World::new(cfg);
     let wf_def = pipeline(3, 0.5, 2.0);
@@ -135,7 +135,7 @@ fn pressure_blocks_fire_for_data_heavy_functions() {
     b.client_output(consumer, "out", SizeModel::Fixed(128.0));
     let wf_def = Arc::new(b.build().unwrap());
 
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let wf = world.add_workflow(wf_def);
     for i in 0..6 {
         world.submit_request(wf, MB, SimTime::from_millis(100 * i));
@@ -152,7 +152,7 @@ fn pressure_blocks_fire_for_data_heavy_functions() {
 #[test]
 fn non_aware_is_slower_under_data_heavy_load() {
     let run_with = |pressure_aware: bool| {
-        let mut world = World::new(ClusterConfig::default());
+        let mut world = World::new(TestbedConfig::default());
         let wf = world.add_workflow(wordcount(4, 8.0));
         world.spawn_clients(wf, 8.0 * MB, 12);
         let cfg = if pressure_aware {
@@ -175,7 +175,7 @@ fn non_aware_is_slower_under_data_heavy_load() {
 #[test]
 fn fault_injection_triggers_redo_and_still_completes() {
     let wf_def = pipeline(3, 0.1, 1.0);
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let wf = world.add_workflow(Arc::clone(&wf_def));
     let req = world.submit_request(wf, MB, SimTime::ZERO);
     let mut engine = DataFlowerEngine::new(DataFlowerConfig::default(), SpreadPlacement);
@@ -185,7 +185,7 @@ fn fault_injection_triggers_redo_and_still_completes() {
     assert_eq!(engine.redo_count(), 1);
 
     // A fault adds latency relative to a clean run.
-    let mut clean_world = World::new(ClusterConfig::default());
+    let mut clean_world = World::new(TestbedConfig::default());
     let wf2 = clean_world.add_workflow(wf_def);
     clean_world.submit_request(wf2, MB, SimTime::ZERO);
     let mut clean_engine = DataFlowerEngine::new(DataFlowerConfig::default(), SpreadPlacement);
@@ -214,7 +214,7 @@ fn sink_ttl_spills_unconsumed_data() {
         sink_ttl: SimDuration::from_secs(5),
         ..DataFlowerConfig::default()
     };
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let wf = world.add_workflow(wf_def);
     world.submit_request(wf, MB, SimTime::ZERO);
     let mut engine = DataFlowerEngine::new(cfg, SpreadPlacement);
@@ -231,9 +231,9 @@ fn sink_ttl_spills_unconsumed_data() {
 
 #[test]
 fn keep_alive_retires_idle_containers_but_not_draining_ones() {
-    let cluster = ClusterConfig {
+    let cluster = TestbedConfig {
         keep_alive: SimDuration::from_secs(5),
-        ..ClusterConfig::default()
+        ..TestbedConfig::default()
     };
     let mut world = World::new(cluster);
     let wf = world.add_workflow(wordcount(2, 2.0));
@@ -261,7 +261,7 @@ fn switch_workflows_run_exactly_one_branch() {
     b.client_output(cold, "out-c", SizeModel::Fixed(128.0));
     let wf_def = Arc::new(b.build().unwrap());
 
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let wf = world.add_workflow(wf_def);
     for i in 0..8 {
         world.submit_request(wf, 1024.0, SimTime::from_millis(200 * i));
@@ -277,7 +277,7 @@ fn overlap_lets_one_container_pipeline_requests() {
     // the second compute runs while the first transfer is still in
     // flight, so the total makespan is below the serialized sum.
     let wf_def = pipeline(2, 0.3, 4.0);
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let wf = world.add_workflow(wf_def);
     for i in 0..4 {
         world.submit_request(wf, 4.0 * MB, SimTime::from_millis(10 * i));
@@ -294,7 +294,7 @@ fn prewarming_cuts_cold_request_latency() {
     // so the first (cold) request finishes sooner.
     let latency = |prewarm: bool| {
         let wf_def = pipeline(4, 0.2, 2.0);
-        let mut world = World::new(ClusterConfig::default());
+        let mut world = World::new(TestbedConfig::default());
         let wf = world.add_workflow(wf_def);
         world.submit_request(wf, 2.0 * MB, SimTime::ZERO);
         let cfg = if prewarm {

@@ -125,6 +125,11 @@ impl AutoscaleConfig {
         if !self.pressure_threshold_secs.is_finite() {
             return Err("autoscale pressure threshold must be finite".into());
         }
+        // The autoscaler sleeps one interval per round; zero is a busy
+        // loop that holds the shutdown lock.
+        if self.enabled && self.sample_interval.is_zero() {
+            return Err("autoscale sample_interval must be positive when enabled".into());
+        }
         Ok(())
     }
 }

@@ -19,6 +19,9 @@ pub enum RtError {
     /// The placement map names an unknown function or an out-of-range
     /// node (details inside).
     InvalidPlacement(String),
+    /// The [`ClusterConfig`](crate::ClusterConfig) holds a value the
+    /// runtime cannot start with (the message names the field).
+    InvalidConfig(String),
 }
 
 impl fmt::Display for RtError {
@@ -34,6 +37,7 @@ impl fmt::Display for RtError {
             RtError::Faulted(msg) => write!(f, "workflow faulted: {msg}"),
             RtError::UnknownRequest => write!(f, "unknown or already-collected request"),
             RtError::InvalidPlacement(msg) => write!(f, "invalid placement: {msg}"),
+            RtError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
         }
     }
 }

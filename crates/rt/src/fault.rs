@@ -13,7 +13,7 @@
 //!
 //! The default plan is a no-op and costs the data plane nothing beyond
 //! one `Option` check per frame. Plans with drops or kills need
-//! [`RecoveryConfig`](crate::RecoveryConfig) enabled to stay lossless:
+//! [`ClusterConfig::recovery()`](crate::ClusterConfig::recovery()) to stay lossless:
 //! recovery retains un-acked frames on the sender and replays them on
 //! restart (resuming chunked streams from the last acknowledged
 //! checkpoint mark) and retransmits frames whose acks never arrived.

@@ -37,13 +37,18 @@
 //!   (scale-out past the threshold, cool-down-guarded scale-in once
 //!   drained) — the paper's pressure-aware scaling, §5.2 — without
 //!   spawning or killing threads;
-//! * with [`RecoveryConfig`] enabled, the runtime is fault tolerant per
+//! * with [`ClusterConfig::recovery()`] on, the runtime is fault tolerant per
 //!   §6.2: senders retain zero-copy views of un-acked frames, chunked
 //!   streams acknowledge checkpoint marks, and a crashed node
 //!   ([`ClusterRuntime::crash_node`], or a seeded [`FaultPlan`] kill)
 //!   restarts with every incomplete transfer replayed from its last
 //!   acknowledged mark — `wait` returns byte-identical outputs across a
 //!   single-node crash.
+//!
+//! Everything above that can be tuned is a field of one plain record,
+//! [`ClusterConfig`] — what [`ClusterRuntimeBuilder::config`] and
+//! [`TcpCluster::launch`] take; a value the runtime cannot start with
+//! comes back from `start` as [`RtError::InvalidConfig`].
 //!
 //! The workflow *definition* is shared with the simulator
 //! ([`dataflower_workflow`]), so one definition drives both the
@@ -95,10 +100,7 @@ pub use fault::{FaultPlan, FrameFate, NodeKill};
 pub use node::{
     ByLevel, LoadAware, NodeRuntime, Placement, PlacementPolicy, RoundRobin, SingleNode,
 };
-pub use runtime::{
-    ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, RecoveryConfig, ReqId,
-    RtConfig, RtStats,
-};
+pub use runtime::{ClusterRuntime, ClusterRuntimeBuilder, CrashReport, ReqId, RtStats};
 pub use sched::NodeScheduler;
 pub use sink::ShardedSink;
 pub use trace::{

@@ -6,7 +6,7 @@
 //! responder** thread that stamps the node's [`NodeState::last_beat`]
 //! gauge every interval while the node is up; one **controller** thread
 //! reads the stamps, counts consecutive misses, and after
-//! [`ClusterRtConfig::heartbeat_miss_threshold`] of them declares the
+//! [`ClusterConfig::heartbeat_miss_threshold`] of them declares the
 //! node permanently lost and relocates every function it hosted to the
 //! least-pressured survivors (or wherever the cluster's
 //! [`PlacementPolicy::relocate`] points). Relocation re-pins the
@@ -26,14 +26,14 @@
 //! this module's code on both media.
 //!
 //! [`NodeState::last_beat`]: crate::node::NodeState
-//! [`ClusterRtConfig::heartbeat_miss_threshold`]: crate::ClusterRtConfig::heartbeat_miss_threshold
+//! [`ClusterConfig::heartbeat_miss_threshold`]: crate::ClusterConfig::heartbeat_miss_threshold
 //! [`PlacementPolicy::relocate`]: crate::PlacementPolicy::relocate
 //! [`ClusterRuntime::migrate_function`]: crate::ClusterRuntime::migrate_function
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dataflower_workflow::{EdgeId, Endpoint, FnId};
 
@@ -44,6 +44,11 @@ use crate::runtime::{
     retention_sources, seed_req_state, submit_invoke, ClusterRuntime, Inner,
 };
 use crate::trace::EventKind as TraceEventKind;
+
+/// How long a live migration (or node-loss relocation) waits for the
+/// drained FLU pool to finish in-flight work before respawning the pool
+/// on the new node anyway.
+const MIGRATION_DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Stamps `node`'s keep-alive beat every heartbeat interval while the
 /// node is up (a crashed node stops stamping — that silence is what the
@@ -229,9 +234,9 @@ fn rehome_pool(inner: &Arc<Inner>, name: &str, from: usize, to: usize) {
     let scale = Arc::clone(&inner.scale[name]);
     // Bounded drain: invocations started before the placement re-pin
     // finish on the old node's workers.
-    let deadline = Instant::now() + inner.cfg.migration_drain_timeout;
+    let deadline = Instant::now() + MIGRATION_DRAIN_TIMEOUT;
     while scale.live.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_micros(200));
+        std::thread::sleep(Duration::from_micros(200));
     }
     activate_pool(inner, name, to);
     refresh_scheduler_active(inner, from);
@@ -446,7 +451,7 @@ fn merge_fn_state(
 /// sink and checkpoint log died with it, so every transfer is re-sent
 /// from byte 0; receivers dedup re-fired duplicates by edge.
 pub(crate) fn rehome_retention(inner: &Inner, from: usize) -> usize {
-    if !inner.cfg.recovery.enabled {
+    if inner.cfg.recovery.is_none() {
         return 0;
     }
     let wf = &inner.workflow;

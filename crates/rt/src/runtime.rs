@@ -57,14 +57,15 @@ use dataflower::{choose_pipe, pressure_secs, CheckpointSchedule, PipeKind};
 use dataflower_metrics::Timeline;
 use dataflower_workflow::{ActiveGraph, EdgeId, Endpoint, FnId, Workflow, WorkflowSpec};
 
-use crate::admission::{AdmissionConfig, AdmissionGate, Rejected, TenantStats};
-use crate::autoscale::{AutoscaleConfig, FnScale, ScaleDirection, ScaleEvent, ScalePolicy};
+use crate::admission::{AdmissionGate, Rejected, TenantStats};
+use crate::autoscale::{FnScale, ScaleDirection, ScaleEvent, ScalePolicy};
 use crate::bytes::Bytes;
 use crate::channel::{bounded, Receiver, Sender};
+use crate::config::ClusterConfig;
 use crate::context::{FluContext, PutTarget};
 use crate::error::RtError;
-use crate::fabric::{chunk_spans, spawn_link, LinkConfig, LinkRetention, NetMsg, ReplaySummary};
-use crate::fault::{FaultPlan, FaultState, FrameFate};
+use crate::fabric::{chunk_spans, spawn_link, LinkRetention, NetMsg, ReplaySummary};
+use crate::fault::{FaultState, FrameFate};
 use crate::node::{NodeReqState, NodeRuntime, NodeState, Placement, PlacementPolicy, SinkEntry};
 use crate::orchestrator;
 use crate::sched::NodeScheduler;
@@ -86,134 +87,6 @@ impl ReqId {
 impl fmt::Display for ReqId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "req#{}", self.0)
-    }
-}
-
-/// Per-node tuning knobs of the runtime.
-#[derive(Debug, Clone)]
-pub struct RtConfig {
-    /// Capacity of each function's DLU queue; a full queue blocks `put`
-    /// (backpressure). A value of 0 is treated as 1 (single-slot buffer,
-    /// the strictest backpressure the in-tree channel supports).
-    pub dlu_queue_capacity: usize,
-    /// Default number of FLU executor threads per function.
-    pub flu_replicas: usize,
-    /// Passive-expire TTL for unconsumed sink entries (`None` disables
-    /// the janitors).
-    pub sink_ttl: Option<Duration>,
-}
-
-impl Default for RtConfig {
-    fn default() -> Self {
-        RtConfig {
-            dlu_queue_capacity: 64,
-            flu_replicas: 1,
-            sink_ttl: Some(Duration::from_secs(30)),
-        }
-    }
-}
-
-/// Checkpoint-recovery knobs of a [`ClusterRuntime`] (§6.2).
-///
-/// With `enabled`, every cross-node frame is retained on the sender (as
-/// a refcounted [`Bytes`] view — zero-copy) until the destination
-/// acknowledges it: whole frames ack on delivery, chunked streams ack
-/// each checkpoint mark their contiguous prefix crosses, trimming the
-/// retention window to at most one checkpoint interval plus the link's
-/// in-flight frames. A crashed-and-restarted node gets every incomplete
-/// transfer replayed from its last acknowledged mark, and a background
-/// recovery daemon retransmits frames whose acks never arrived (lost
-/// frames). Disabled (the default), none of this bookkeeping runs — and
-/// a node crash or dropped frame loses data exactly like before.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryConfig {
-    /// Master switch of retention, acks, replay and retransmission.
-    pub enabled: bool,
-    /// How long a retained transfer may sit without any send or ack
-    /// before the recovery daemon retransmits its un-acked frames.
-    pub retransmit_timeout: Duration,
-}
-
-impl Default for RecoveryConfig {
-    /// Disabled; when enabled, a 200 ms retransmit timeout.
-    fn default() -> Self {
-        RecoveryConfig {
-            enabled: false,
-            retransmit_timeout: Duration::from_millis(200),
-        }
-    }
-}
-
-/// Tuning knobs of a multi-node [`ClusterRuntime`]: the per-node
-/// [`RtConfig`] plus the paper's pipe-selection thresholds, the fabric
-/// link shaping, and the fault-tolerance knobs.
-#[derive(Debug, Clone)]
-pub struct ClusterRtConfig {
-    /// Per-node executor/DLU/janitor knobs.
-    pub rt: RtConfig,
-    /// Payloads strictly under this many bytes bypass the pipe connector
-    /// and use the direct socket (§7's 16 KiB rule).
-    pub direct_threshold_bytes: usize,
-    /// Chunk size of the streaming remote pipe connector.
-    pub chunk_bytes: usize,
-    /// Checkpoint-mark interval of the remote pipe stream (§6.2).
-    pub checkpoint_interval_bytes: usize,
-    /// Shaping applied to every inter-node link.
-    pub link: LinkConfig,
-    /// Elastic, pressure-driven scaling of the FLU executor pools
-    /// (disabled by default — pools stay at their configured size).
-    pub autoscale: AutoscaleConfig,
-    /// Deterministic fault injection ([`FaultPlan`]); the default plan
-    /// is a no-op and costs the data plane nothing.
-    pub faults: FaultPlan,
-    /// Checkpoint-based crash recovery (§6.2); disabled by default.
-    pub recovery: RecoveryConfig,
-    /// Runs the orchestrator control plane (the ε-CON analog): per-node
-    /// keep-alive heartbeats, node-loss detection after
-    /// `heartbeat_miss_threshold` missed beats, and automatic relocation
-    /// of a lost node's functions to the least-pressured survivors.
-    /// Disabled by default; relocating mid-stream transfers additionally
-    /// needs `recovery.enabled`.
-    pub orchestrator: bool,
-    /// Interval between keep-alive heartbeats (and between the
-    /// controller's liveness checks).
-    pub heartbeat_interval: Duration,
-    /// Consecutive missed beats before the controller declares a node
-    /// dead and relocates its functions.
-    pub heartbeat_miss_threshold: u32,
-    /// How long [`ClusterRuntime::migrate_function`] (and node-loss
-    /// relocation) waits for a drained FLU pool's executors to finish
-    /// in-flight work before re-spawning the pool on the new node
-    /// anyway.
-    pub migration_drain_timeout: Duration,
-    /// Per-tenant admission caps enforced by
-    /// [`ClusterRuntime::try_invoke`] (the all-zero default admits
-    /// everything; plain [`ClusterRuntime::invoke`] always bypasses the
-    /// gate).
-    pub admission: AdmissionConfig,
-}
-
-impl Default for ClusterRtConfig {
-    /// 16 KiB direct threshold, 64 KiB chunks, 256 KiB checkpoint
-    /// interval, unshaped links, autoscaling off, no faults, recovery
-    /// off, orchestrator off (20 ms heartbeats, 3 missed beats, 1 s
-    /// migration drain when enabled).
-    fn default() -> Self {
-        ClusterRtConfig {
-            rt: RtConfig::default(),
-            direct_threshold_bytes: 16 * 1024,
-            chunk_bytes: 64 * 1024,
-            checkpoint_interval_bytes: 256 * 1024,
-            link: LinkConfig::default(),
-            autoscale: AutoscaleConfig::default(),
-            faults: FaultPlan::default(),
-            recovery: RecoveryConfig::default(),
-            orchestrator: false,
-            heartbeat_interval: Duration::from_millis(20),
-            heartbeat_miss_threshold: 3,
-            migration_drain_timeout: Duration::from_secs(1),
-            admission: AdmissionConfig::default(),
-        }
     }
 }
 
@@ -455,7 +328,7 @@ impl PurgedSet {
 
 pub(crate) struct Inner {
     pub(crate) workflow: Arc<Workflow>,
-    pub(crate) cfg: ClusterRtConfig,
+    pub(crate) cfg: ClusterConfig,
     /// The live routing authority: every route/deliver/seed decision
     /// reads the placement through this lock, so the orchestrator can
     /// relocate a function at runtime and the data plane follows.
@@ -638,7 +511,7 @@ type Body = Arc<dyn Fn(&mut FluContext) + Send + Sync>;
 /// ```
 pub struct ClusterRuntimeBuilder {
     workflow: Arc<Workflow>,
-    cfg: ClusterRtConfig,
+    cfg: ClusterConfig,
     placement: Placement,
     policy: Option<Arc<dyn PlacementPolicy>>,
     bodies: HashMap<String, Body>,
@@ -657,7 +530,7 @@ impl ClusterRuntimeBuilder {
     pub fn new(workflow: Arc<Workflow>) -> Self {
         ClusterRuntimeBuilder {
             workflow,
-            cfg: ClusterRtConfig::default(),
+            cfg: ClusterConfig::default(),
             placement: Placement::with_nodes(1),
             policy: None,
             bodies: HashMap::new(),
@@ -666,12 +539,9 @@ impl ClusterRuntimeBuilder {
         }
     }
 
-    /// Replaces the configuration. Accepts either a raw
-    /// [`ClusterRtConfig`] or the fluent [`ClusterConfig`] builder.
-    ///
-    /// [`ClusterConfig`]: crate::ClusterConfig
-    pub fn config(mut self, cfg: impl Into<ClusterRtConfig>) -> Self {
-        self.cfg = cfg.into();
+    /// Replaces the configuration.
+    pub fn config(mut self, cfg: ClusterConfig) -> Self {
+        self.cfg = cfg;
         self
     }
 
@@ -732,15 +602,14 @@ impl ClusterRuntimeBuilder {
     /// override names a function not in the workflow, or
     /// [`RtError::InvalidPlacement`] if the placement names an unknown
     /// function or an out-of-range node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration's `chunk_bytes` or
-    /// `checkpoint_interval_bytes` is zero, if the autoscale knobs are
-    /// inconsistent (`min_replicas` of zero, `max_replicas` below
-    /// `min_replicas`, non-positive `alpha` or drain bandwidth), or if
-    /// the fault plan is invalid (rates outside `[0, 1]`, a kill naming
-    /// a node outside the placement's topology).
+    /// Returns [`RtError::InvalidConfig`], naming the field, if the
+    /// configuration's `chunk_bytes` or `checkpoint_interval_bytes` is
+    /// zero, the autoscale knobs are inconsistent (`min_replicas` of
+    /// zero, `max_replicas` below `min_replicas`, non-positive `alpha`
+    /// or drain bandwidth, a zero `sample_interval` while enabled), the
+    /// fault plan is invalid (rates outside `[0, 1]`, a kill naming a
+    /// node outside the placement's topology), or `heartbeat_interval`
+    /// is zero with the orchestrator on.
     pub fn start(self) -> Result<ClusterRuntime, RtError> {
         self.start_as(None).map(|(rt, _)| rt)
     }
@@ -788,7 +657,7 @@ impl ClusterRuntimeBuilder {
         let mut dlu_rx: Vec<Option<Receiver<DluMsg>>> = Vec::with_capacity(node_count);
         for n in 0..node_count {
             let (tx, rx) = if wire.map_or(true, |w| w.local == n) {
-                let (tx, rx) = bounded::<DluMsg>(self.cfg.rt.dlu_queue_capacity);
+                let (tx, rx) = bounded::<DluMsg>(self.cfg.dlu_queue_capacity);
                 (Some(tx), Some(rx))
             } else {
                 (None, None)
@@ -801,7 +670,7 @@ impl ClusterRuntimeBuilder {
         } else {
             Some(FaultState::new(self.cfg.faults.clone()))
         };
-        let retention: Vec<Mutex<LinkRetention>> = if self.cfg.recovery.enabled {
+        let retention: Vec<Mutex<LinkRetention>> = if self.cfg.recovery.is_some() {
             (0..endpoints * endpoints)
                 .map(|_| {
                     let mut r = LinkRetention::default();
@@ -929,7 +798,7 @@ impl ClusterRuntimeBuilder {
         // Recovery daemon: executes fault-plan restarts and retransmits
         // stale un-acked transfers. Only needed when something can go
         // wrong (an active fault plan) or be repaired (recovery on).
-        if self.cfg.recovery.enabled || inner.faults.is_some() {
+        if self.cfg.recovery.is_some() || inner.faults.is_some() {
             let daemon_inner = Arc::clone(&inner);
             fabric_threads.push(
                 std::thread::Builder::new()
@@ -974,7 +843,7 @@ impl ClusterRuntimeBuilder {
             );
         }
         // Runtime-wide janitor for passive expire across every node.
-        if let Some(ttl) = self.cfg.rt.sink_ttl.filter(|_| !is_client) {
+        if let Some(ttl) = self.cfg.sink_ttl.filter(|_| !is_client) {
             let janitor_inner = Arc::clone(&inner);
             fabric_threads.push(
                 std::thread::Builder::new()
@@ -996,29 +865,13 @@ impl ClusterRuntimeBuilder {
     }
 
     /// Validation shared by every start path (see
-    /// [`ClusterRuntimeBuilder::start`]'s docs for the panic and error
-    /// contract). The client endpoint of a TCP cluster hosts no
-    /// functions, so it alone starts without `bodies`.
+    /// [`ClusterRuntimeBuilder::start`]'s docs for the error contract).
+    /// The client endpoint of a TCP cluster hosts no functions, so it
+    /// alone starts without `bodies`.
     fn validate(&self, bodies: bool) -> Result<(), RtError> {
-        assert!(self.cfg.chunk_bytes > 0, "chunk_bytes must be positive");
-        assert!(
-            self.cfg.checkpoint_interval_bytes > 0,
-            "checkpoint_interval_bytes must be positive"
-        );
-        if let Err(e) = self.cfg.autoscale.validate() {
-            panic!("{e}");
-        }
-        if let Err(e) = self.cfg.faults.validate() {
-            panic!("{e}");
-        }
-        for kill in &self.cfg.faults.kills {
-            assert!(
-                kill.node < self.placement.node_count(),
-                "fault plan kills node {}, but the topology has {} node(s)",
-                kill.node,
-                self.placement.node_count()
-            );
-        }
+        self.cfg
+            .validate(self.placement.node_count())
+            .map_err(RtError::InvalidConfig)?;
         for f in self.workflow.function_ids() {
             let name = &self.workflow.function(f).name;
             if bodies && !self.bodies.contains_key(name) {
@@ -1043,11 +896,8 @@ impl ClusterRuntimeBuilder {
         let mut initial_replicas = HashMap::new();
         for f in self.workflow.function_ids() {
             let name = self.workflow.function(f).name.clone();
-            let mut replicas = *self
-                .replicas
-                .get(&name)
-                .unwrap_or(&self.cfg.rt.flu_replicas)
-                .max(&1);
+            // One executor slot unless `replicas(name, n)` said otherwise.
+            let mut replicas = self.replicas.get(&name).copied().unwrap_or(1);
             if scaling {
                 replicas = replicas.clamp(
                     self.cfg.autoscale.min_replicas,
@@ -1268,7 +1118,7 @@ impl ClusterRuntime {
     }
 
     /// Invokes the workflow on behalf of `tenant`, subject to the
-    /// configured admission caps ([`ClusterRtConfig::admission`]). The
+    /// configured admission caps ([`ClusterConfig::admission`]). The
     /// in-flight slot is released when the request completes via
     /// [`ClusterRuntime::wait`] or is abandoned via
     /// [`ClusterRuntime::forget`].
@@ -1479,7 +1329,7 @@ impl ClusterRuntime {
     /// rolled back to the last checkpoint mark of each stream — progress
     /// past a mark is volatile, progress below it is durable.
     ///
-    /// With [`RecoveryConfig`] enabled the crash is survivable: senders
+    /// With [`ClusterConfig::recovery()`] on the crash is survivable: senders
     /// retain every un-acked frame, and the restart replays each
     /// incomplete transfer from its last acknowledged mark. Without
     /// recovery, a crash mid-request loses data and `wait` times out —
@@ -1494,7 +1344,7 @@ impl ClusterRuntime {
         crash_node_inner(&self.inner, node)
     }
 
-    /// Restarts a crashed node. With [`RecoveryConfig`] enabled, replays
+    /// Restarts a crashed node. With [`ClusterConfig::recovery()`] on, replays
     /// every incomplete inbound transfer from the senders' retention
     /// windows — resuming chunked streams at their last acknowledged
     /// checkpoint mark, not byte 0 — before returning; the surviving
@@ -2016,7 +1866,7 @@ fn ship(
                 // payload's shared allocation, not a copied sub-buffer —
                 // and so is the retained replay copy (a refcount bump).
                 let bytes = payload.slice(lo..hi);
-                if inner.cfg.recovery.enabled {
+                if inner.cfg.recovery.is_some() {
                     retention_of(inner, src_node, dst_node)
                         .lock()
                         .expect("retention lock poisoned")
@@ -2058,7 +1908,7 @@ fn ship_whole(
     let link = links[dst_node].as_ref().expect("cross-node link exists");
     let depth = depth_of(inner, src_node, dst_node);
     let transfer = inner.next_transfer.fetch_add(1, Ordering::Relaxed);
-    if inner.cfg.recovery.enabled {
+    if inner.cfg.recovery.is_some() {
         retention_of(inner, src_node, dst_node)
             .lock()
             .expect("retention lock poisoned")
@@ -2200,7 +2050,7 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                 // the new destination link, or the acks coming back from
                 // the new host would miss it and the old-link entry
                 // would retransmit forever.
-                None if inner.cfg.recovery.enabled => {
+                None if inner.cfg.recovery.is_some() => {
                     if let NetMsg::Whole { transfer, .. } | NetMsg::Chunk { transfer, .. } = &msg {
                         let moved = retention_of(inner, src, dst_node)
                             .lock()
@@ -2354,7 +2204,7 @@ pub(crate) fn emit(inner: &Inner, src: usize, dst: usize, msg: NetMsg) {
 /// direct call into it; when the sender is another OS process the ack
 /// becomes a frame enqueued back over the wire.
 fn ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
-    if !inner.cfg.recovery.enabled {
+    if inner.cfg.recovery.is_none() {
         return;
     }
     match &inner.wire {
@@ -2367,7 +2217,7 @@ fn ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
 /// `src → dst` (`src` is the sender — in wire mode, this process),
 /// counting the checkpoint marks a mark ack crossed.
 fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
-    if !inner.cfg.recovery.enabled {
+    if inner.cfg.recovery.is_none() {
         return;
     }
     let mut window = retention_of(inner, src, dst)
@@ -2506,7 +2356,7 @@ pub(crate) fn purge_request(inner: &Inner, req: u64) {
     for node in &inner.nodes {
         node.sink.remove(req);
     }
-    if inner.cfg.orchestrator && inner.cfg.recovery.enabled {
+    if inner.cfg.orchestrator && inner.cfg.recovery.is_some() {
         for r in inner.retention.iter() {
             r.lock().expect("retention lock poisoned").purge_req(req);
         }
@@ -2560,7 +2410,7 @@ fn restart_node_inner(inner: &Inner, node: usize) {
     }
     inner.counters.node_restarts.fetch_add(1, Ordering::Relaxed);
     inner.trace_with(|| TraceEventKind::Restart { node: node as u32 });
-    if inner.cfg.recovery.enabled {
+    if inner.cfg.recovery.is_some() {
         replay_links_into(inner, node, None);
     }
 }
@@ -2634,8 +2484,10 @@ fn replay_links_into(inner: &Inner, dst: usize, older_than: Option<Duration>) {
 /// the shutdown condvar like the janitors, so teardown never waits out a
 /// tick.
 fn recovery_daemon(inner: Arc<Inner>) {
-    let timeout = inner.cfg.recovery.retransmit_timeout;
-    let tick = (timeout / 2).clamp(Duration::from_millis(1), Duration::from_millis(25));
+    let max_tick = Duration::from_millis(25);
+    let tick = inner.cfg.recovery.map_or(max_tick, |timeout| {
+        (timeout / 2).clamp(Duration::from_millis(1), max_tick)
+    });
     loop {
         {
             let guard = inner.shutdown_mx.lock().expect("shutdown lock poisoned");
@@ -2652,7 +2504,7 @@ fn recovery_daemon(inner: Arc<Inner>) {
                 restart_node_inner(&inner, node);
             }
         }
-        if inner.cfg.recovery.enabled {
+        if let Some(timeout) = inner.cfg.recovery {
             for (dst, node) in inner.nodes.iter().enumerate() {
                 if node.lost.load(Ordering::SeqCst) {
                     // Straggler healing: retention that still points at a

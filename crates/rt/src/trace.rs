@@ -94,7 +94,7 @@ use std::sync::Mutex;
 
 use dataflower::{CheckpointSchedule, DataFlowerConfig, DataFlowerEngine, DecisionEvent, PipeKind};
 use dataflower_cluster::{
-    run_to_idle, ClusterConfig, NodeId, NodeSpec, Placement as SimPlacement, WfId, World,
+    run_to_idle, NodeId, NodeSpec, Placement as SimPlacement, TestbedConfig, WfId, World,
 };
 use dataflower_sim::SimTime;
 use dataflower_workflow::{FnId, WorkflowSpec};
@@ -848,11 +848,11 @@ pub fn replay(events: &[TraceEvent]) -> Result<Vec<TraceEvent>, TraceError> {
         return Err(TraceError::Malformed("request ids are not 0..n"));
     }
 
-    let cluster_cfg = ClusterConfig {
+    let cluster_cfg = TestbedConfig {
         workers: vec![NodeSpec::default(); *nodes as usize],
         direct_threshold_bytes: *direct_threshold_bytes as f64,
         seed: 0,
-        ..ClusterConfig::default()
+        ..TestbedConfig::default()
     };
     let engine_cfg = DataFlowerConfig {
         checkpoint: CheckpointSchedule::new(*checkpoint_interval_bytes as f64),

@@ -34,7 +34,7 @@
 //!   live worker on the same outbound links, where it leaves with the
 //!   agent's next burst.
 //! * The checkpoint log belongs to §6.2 recovery and exists only with it.
-//!   With [`RecoveryConfig`](crate::RecoveryConfig) enabled, the data and
+//!   With [`ClusterConfig::recovery()`](crate::ClusterConfig::recovery()) on, the data and
 //!   `Release` frames of every socket read inbound to a worker are
 //!   appended to its log in one write **before** any of them is
 //!   dispatched, so a `kill -9`'d worker restarted by
@@ -64,14 +64,14 @@ use dataflower_workflow::{json, Workflow};
 use crate::admission::{Rejected, TenantStats};
 use crate::bytes::Bytes;
 use crate::channel::Receiver;
+use crate::config::ClusterConfig;
 use crate::error::RtError;
 use crate::fabric::{NetMsg, SHIPPER_BATCH};
 use crate::node::{least_pressured, Placement};
 use crate::orchestrator::{activate_pool, rehome_retention};
 use crate::runtime::{
     chaos_ingress, depth_of, handle_net_msg, node_pressure_of, retention_of, take_replay,
-    ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId, RtStats,
-    WireSpec,
+    ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId, RtStats, WireSpec,
 };
 use crate::wire::{encode_msg, encode_parts, net_of, Decoder, Frame};
 
@@ -211,7 +211,7 @@ impl WorkerEnv {
         // re-fired functions are idempotent (the consumed-entry sentinel
         // blocks double triggers downstream) and the re-emitted acks
         // drain through the agents just spawned.
-        let log = inner.cfg.recovery.enabled.then(|| {
+        let log = inner.cfg.recovery.is_some().then(|| {
             let path = self.dir.join(format!("node{}.log", self.node));
             let (log, restored) = CkptLog::open(&path).expect("open checkpoint log");
             for (src, frame) in restored {
@@ -298,7 +298,7 @@ impl WorkerEnv {
                 "retained" => {
                     let dst = jnum(&v, "dst") as usize;
                     let margin = jnum(&v, "margin") as usize;
-                    let ok = inner.cfg.recovery.enabled
+                    let ok = inner.cfg.recovery.is_some()
                         && retention_of(&inner, self.node, dst)
                             .lock()
                             .expect("retention lock poisoned")
@@ -474,7 +474,7 @@ fn link_agent(
                 let reconnect = had_session;
                 had_session = true;
                 conn = Some(s);
-                if reconnect && inner.cfg.recovery.enabled {
+                if reconnect && inner.cfg.recovery.is_some() {
                     // The peer may have restarted from scratch: replay
                     // every incomplete transfer ahead of the frame in
                     // hand (duplicates are idempotent at the receiver).
@@ -849,8 +849,8 @@ fn coord_relocate(ctl: &CoordCtl, dead: usize) {
 /// with every sender resuming its un-acked transfers from the last
 /// acknowledged §6.2 mark.
 ///
-/// With [`ClusterRtConfig::orchestrator`] set (see
-/// [`ClusterConfig::heartbeat`](crate::ClusterConfig::heartbeat)), the
+/// With [`ClusterConfig::orchestrator`] set (see
+/// [`ClusterConfig::heartbeat`]), the
 /// coordinator additionally runs the wire-mode control plane: control-
 /// channel pings every heartbeat interval, node-loss declaration after
 /// the miss threshold, and relocation of the dead worker's functions
@@ -962,7 +962,7 @@ impl TcpCluster {
     pub fn launch(
         workflow: Arc<Workflow>,
         placement: Placement,
-        cfg: ClusterRtConfig,
+        cfg: ClusterConfig,
         tag: &str,
     ) -> io::Result<TcpCluster> {
         let nodes = placement.node_count();
@@ -1101,7 +1101,7 @@ impl TcpCluster {
     }
 
     /// [`TcpCluster::invoke`] on behalf of `tenant`, subject to the
-    /// admission caps of [`ClusterRtConfig::admission`]; see
+    /// admission caps of [`ClusterConfig::admission`]; see
     /// [`ClusterRuntime::try_invoke`].
     ///
     /// # Errors
@@ -1162,7 +1162,7 @@ impl TcpCluster {
     /// mark rather than byte 0.
     pub fn sender_mid_stream(&self, victim: usize, margin: usize) -> bool {
         let inner = &self.ctl.inner;
-        if inner.cfg.recovery.enabled
+        if inner.cfg.recovery.is_some()
             && retention_of(inner, self.node_count(), victim)
                 .lock()
                 .expect("retention lock poisoned")

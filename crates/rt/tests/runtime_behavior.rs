@@ -5,8 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dataflower_rt::{
-    Bytes, ClusterConfig, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, LinkConfig,
-    Placement, RtConfig, RtError,
+    Bytes, ClusterConfig, ClusterRuntime, ClusterRuntimeBuilder, LinkConfig, Placement, RtError,
 };
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder};
 
@@ -28,11 +27,7 @@ fn wc_workflow(fan_out: usize) -> Arc<Workflow> {
 /// per shard, merge the count tables. Single-node special case of
 /// `build_wc_cluster` (same bodies, same public API surface).
 fn build_wc(fan_out: usize) -> ClusterRuntime {
-    build_wc_cluster(
-        fan_out,
-        Placement::with_nodes(1),
-        ClusterRtConfig::default(),
-    )
+    build_wc_cluster(fan_out, Placement::with_nodes(1), ClusterConfig::default())
 }
 
 #[test]
@@ -221,10 +216,10 @@ fn janitor_spills_unconsumed_inputs() {
     // TTL.
     let wf = wc_workflow(2);
     let rt = ClusterRuntimeBuilder::new(wf)
-        .config(ClusterConfig::new().node(RtConfig {
+        .config(ClusterConfig {
             sink_ttl: Some(Duration::from_millis(50)),
-            ..RtConfig::default()
-        }))
+            ..ClusterConfig::default()
+        })
         .register("start", |ctx| {
             ctx.put_to("file", "count_0", Bytes::from_static(b"solo"));
         })
@@ -295,7 +290,7 @@ fn mid_function_put_triggers_downstream_before_producer_returns() {
 
 /// Builds the wordcount of `build_wc` on a ClusterRuntime with the given
 /// placement and cluster config.
-fn build_wc_cluster(fan_out: usize, placement: Placement, cfg: ClusterRtConfig) -> ClusterRuntime {
+fn build_wc_cluster(fan_out: usize, placement: Placement, cfg: ClusterConfig) -> ClusterRuntime {
     let wf = wc_workflow(fan_out);
     let mut builder = ClusterRuntimeBuilder::new(Arc::clone(&wf))
         .placement(placement)
@@ -364,11 +359,7 @@ fn spread_placement_counts_identically_to_single_node() {
     let fan_out = 4;
     let corpus = big_corpus();
 
-    let single = build_wc_cluster(
-        fan_out,
-        Placement::with_nodes(1),
-        ClusterRtConfig::default(),
-    );
+    let single = build_wc_cluster(fan_out, Placement::with_nodes(1), ClusterConfig::default());
     let req = single.invoke(vec![("text".into(), Bytes::from(corpus.clone()))]);
     let reference = single.wait(req, Duration::from_secs(20)).unwrap();
     assert_eq!(single.stats().remote_pipe_transfers, 0);
@@ -383,7 +374,7 @@ fn spread_placement_counts_identically_to_single_node() {
     for i in 0..fan_out {
         placement = placement.assign(format!("count_{i}"), 1);
     }
-    let spread = build_wc_cluster(fan_out, placement, ClusterRtConfig::default());
+    let spread = build_wc_cluster(fan_out, placement, ClusterConfig::default());
     assert_eq!(spread.node_count(), 3);
     assert_eq!(spread.node_of("start"), 0);
     assert_eq!(spread.node_of("count_1"), 1);
@@ -406,7 +397,7 @@ fn spread_placement_counts_identically_to_single_node() {
 #[test]
 fn tiny_chunks_and_shaped_links_still_reassemble() {
     let fan_out = 2;
-    let cfg = ClusterRtConfig {
+    let cfg = ClusterConfig {
         chunk_bytes: 512,
         checkpoint_interval_bytes: 2048,
         link: LinkConfig {
@@ -414,7 +405,7 @@ fn tiny_chunks_and_shaped_links_still_reassemble() {
             bandwidth_bytes_per_sec: Some(400.0 * 1024.0 * 1024.0),
             queue_capacity: 4, // deliberately tight: exercises link backpressure
         },
-        ..ClusterRtConfig::default()
+        ..ClusterConfig::default()
     };
     let wf_placement = Placement::with_nodes(2)
         .assign("start", 0)
@@ -458,6 +449,76 @@ fn invalid_placement_rejected_at_start() {
         .start()
         .unwrap_err();
     assert!(matches!(err, RtError::InvalidPlacement(msg) if msg.contains("node 5")));
+}
+
+/// A config the runtime cannot start with is an error naming the field,
+/// like its neighbours above — not a panic.
+#[test]
+fn invalid_config_rejected_at_start() {
+    use dataflower_rt::AutoscaleConfig;
+
+    let d = ClusterConfig::default;
+    let cases = [
+        (
+            "chunk_bytes",
+            ClusterConfig {
+                chunk_bytes: 0,
+                ..d()
+            },
+        ),
+        (
+            "checkpoint_interval_bytes",
+            ClusterConfig {
+                checkpoint_interval_bytes: 0,
+                ..d()
+            },
+        ),
+        (
+            "max_replicas",
+            ClusterConfig {
+                autoscale: AutoscaleConfig {
+                    min_replicas: 3,
+                    max_replicas: 2,
+                    ..AutoscaleConfig::default()
+                },
+                ..d()
+            },
+        ),
+        (
+            "sample_interval",
+            ClusterConfig {
+                autoscale: AutoscaleConfig {
+                    enabled: true,
+                    sample_interval: Duration::ZERO,
+                    ..AutoscaleConfig::default()
+                },
+                ..d()
+            },
+        ),
+        (
+            "node 7",
+            ClusterConfig {
+                faults: FaultPlan::seeded(1).kill_node(7, 10, Duration::from_millis(5)),
+                ..d()
+            },
+        ),
+        ("heartbeat_interval", d().heartbeat(Duration::ZERO, 3)),
+    ];
+    for (field, cfg) in cases {
+        let err = ClusterRuntimeBuilder::new(wc_workflow(1))
+            .placement(Placement::with_nodes(2))
+            .config(cfg)
+            .register("start", |_| {})
+            .register("count_0", |_| {})
+            .register("merge", |_| {})
+            .start()
+            .err()
+            .unwrap_or_else(|| panic!("a config with a bad {field} started"));
+        assert!(
+            matches!(&err, RtError::InvalidConfig(msg) if msg.contains(field)),
+            "{field}: {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -517,11 +578,8 @@ fn pressure_scales_executors_out_and_back_in() {
     b.client_output(sink, "out", SizeModel::Fixed(8.0));
     let wf = Arc::new(b.build().unwrap());
 
-    let cfg = ClusterRtConfig {
-        rt: RtConfig {
-            dlu_queue_capacity: 4,
-            ..RtConfig::default()
-        },
+    let cfg = ClusterConfig {
+        dlu_queue_capacity: 4,
         link: LinkConfig {
             bandwidth_bytes_per_sec: Some(8.0 * 1024.0 * 1024.0),
             queue_capacity: 4,
@@ -537,7 +595,7 @@ fn pressure_scales_executors_out_and_back_in() {
             sample_interval: Duration::from_millis(1),
             ..AutoscaleConfig::default()
         },
-        ..ClusterRtConfig::default()
+        ..ClusterConfig::default()
     };
     let rt = ClusterRuntimeBuilder::new(wf)
         .placement(
@@ -618,25 +676,22 @@ fn disabled_autoscaler_keeps_pools_fixed() {
 // Checkpoint-based fault recovery (§6.2)
 // ---------------------------------------------------------------------
 
-use dataflower_rt::{FaultPlan, RecoveryConfig};
+use dataflower_rt::FaultPlan;
 
 /// Cluster config for the recovery tests: start and merge on node 0,
 /// the counters on node 1, tiny chunks and checkpoint intervals so even
 /// modest shards cross several marks, and a link slow enough that a
 /// crash can reliably land mid-transfer.
-fn recovery_cfg() -> ClusterRtConfig {
-    ClusterRtConfig {
+fn recovery_cfg() -> ClusterConfig {
+    ClusterConfig {
         chunk_bytes: 4 * 1024,
         checkpoint_interval_bytes: 8 * 1024,
         link: LinkConfig {
             bandwidth_bytes_per_sec: Some(4.0 * 1024.0 * 1024.0),
             ..LinkConfig::default()
         },
-        recovery: RecoveryConfig {
-            enabled: true,
-            retransmit_timeout: Duration::from_millis(50),
-        },
-        ..ClusterRtConfig::default()
+        recovery: Some(Duration::from_millis(50)),
+        ..ClusterConfig::default()
     }
 }
 
@@ -732,12 +787,12 @@ fn assert_retention_drains(rt: &ClusterRuntime) {
 #[test]
 fn crash_without_recovery_wedges_the_request() {
     let fan_out = 2;
-    let cfg = ClusterRtConfig {
+    let cfg = ClusterConfig {
         link: LinkConfig {
             bandwidth_bytes_per_sec: Some(1024.0 * 1024.0),
             ..LinkConfig::default()
         },
-        ..ClusterRtConfig::default() // recovery disabled
+        ..ClusterConfig::default() // recovery disabled
     };
     let rt = build_wc_cluster(fan_out, counts_on_node1(fan_out), cfg);
     rt.crash_node(1);

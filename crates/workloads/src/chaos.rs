@@ -14,13 +14,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dataflower_rt::{
-    ByLevel, ClusterRtConfig, ClusterRuntime, CrashReport, FaultPlan, LinkConfig, PlacementPolicy,
-    RecoveryConfig, RtStats,
+    ByLevel, ClusterConfig, ClusterRuntime, CrashReport, FaultPlan, LinkConfig, PlacementPolicy,
+    RtStats,
 };
 
 use crate::benchmarks::Benchmark;
 use crate::common::run_verified;
 use crate::live::live_runtime;
+use crate::spec::WorkloadSpec;
 
 /// Runtime tuning of the chaos scenario: a lowered 4 KiB direct-socket
 /// threshold plus small chunks (4 KiB) and checkpoint intervals (8 KiB)
@@ -29,8 +30,8 @@ use crate::live::live_runtime;
 /// lands mid-stream, §6.2 recovery enabled with a 50 ms retransmit
 /// timeout, and a seeded plan dropping 2 %, duplicating 2 % and delaying
 /// 1 % of fabric frames.
-pub(crate) fn chaos_rt_config(seed: u64) -> ClusterRtConfig {
-    ClusterRtConfig {
+pub(crate) fn chaos_rt_config(seed: u64) -> ClusterConfig {
+    ClusterConfig {
         direct_threshold_bytes: 4 * 1024,
         chunk_bytes: 4 * 1024,
         checkpoint_interval_bytes: 8 * 1024,
@@ -38,60 +39,11 @@ pub(crate) fn chaos_rt_config(seed: u64) -> ClusterRtConfig {
             bandwidth_bytes_per_sec: Some(4.0 * 1024.0 * 1024.0),
             ..LinkConfig::default()
         },
-        recovery: RecoveryConfig {
-            enabled: true,
-            retransmit_timeout: Duration::from_millis(50),
-        },
+        recovery: Some(Duration::from_millis(50)),
         faults: FaultPlan::seeded(seed)
             .frame_chaos(0.02, 0.02)
             .delay_frames(0.01, Duration::from_millis(1)),
-        ..ClusterRtConfig::default()
-    }
-}
-
-/// Parameters of a crash-and-restart chaos run
-/// ([`FaultMode::ChaosCrashRestart`](crate::FaultMode::ChaosCrashRestart)).
-#[derive(Debug, Clone)]
-pub struct ChaosClusterConfig {
-    /// Worker nodes in the topology (by-level spread, like the
-    /// `live_cluster` baseline).
-    pub nodes: usize,
-    /// Concurrent requests to drive through the workflow.
-    pub requests: usize,
-    /// Client input payload size in bytes.
-    pub payload_bytes: usize,
-    /// Seed of the frame-chaos decisions: copied into the fault plan's
-    /// seed (`rt.faults.seed`) when the run starts, so changing this
-    /// field alone draws a different chaos sequence.
-    pub seed: u64,
-    /// How long the crashed node stays down before restart (frames
-    /// inbound to it are lost for the whole outage).
-    pub outage: Duration,
-    /// Runtime tuning; the default enables recovery and a seeded fault
-    /// plan (see the module docs).
-    pub rt: ClusterRtConfig,
-    /// Per-request completion deadline.
-    pub timeout: Duration,
-    /// How long the runner hunts for a crash window with a checkpointed
-    /// in-flight transfer before giving up.
-    pub crash_deadline: Duration,
-}
-
-impl Default for ChaosClusterConfig {
-    /// 3 nodes, 2 requests of 256 KiB, seed 7, a 20 ms outage, chaos
-    /// runtime knobs, 60 s deadline, 20 s crash hunt.
-    fn default() -> Self {
-        let seed = 7;
-        ChaosClusterConfig {
-            nodes: 3,
-            requests: 2,
-            payload_bytes: 256 * 1024,
-            seed,
-            outage: Duration::from_millis(20),
-            rt: chaos_rt_config(seed),
-            timeout: Duration::from_secs(60),
-            crash_deadline: Duration::from_secs(20),
-        }
+        ..ClusterConfig::default()
     }
 }
 
@@ -120,15 +72,21 @@ pub struct ChaosClusterReport {
     pub stats: RtStats,
 }
 
-/// The crash-and-restart chaos runner — the body behind
-/// [`WorkloadSpec`](crate::WorkloadSpec) with
-/// [`FaultMode::ChaosCrashRestart`](crate::FaultMode::ChaosCrashRestart).
-pub(crate) fn run_chaos_cluster(bench: Benchmark, cfg: &ChaosClusterConfig) -> ChaosClusterReport {
-    assert!(cfg.nodes >= 2, "chaos_cluster needs a node to crash");
+/// The crash-and-restart chaos runner — the body of a [`WorkloadSpec`]
+/// with
+/// [`FaultMode::ChaosCrashRestart`](crate::FaultMode::ChaosCrashRestart):
+/// by-level spread, the spec's `config()` or [`chaos_rt_config`], the
+/// fault plan re-seeded with the spec's seed (so the seed alone draws a
+/// different chaos sequence), node 1 down for the spec's outage.
+pub(crate) fn run_chaos_cluster(bench: Benchmark, spec: &WorkloadSpec) -> ChaosClusterReport {
+    assert!(spec.nodes >= 2, "chaos_cluster needs a node to crash");
     let wf = bench.workflow();
-    let placement = ByLevel.initial(&wf, cfg.nodes);
-    let mut rt_cfg = cfg.rt.clone();
-    rt_cfg.faults.seed = cfg.seed;
+    let placement = ByLevel.initial(&wf, spec.nodes);
+    let mut rt_cfg = spec
+        .rt
+        .clone()
+        .unwrap_or_else(|| chaos_rt_config(spec.seed));
+    rt_cfg.faults.seed = spec.seed;
     let rt = live_runtime(bench, Arc::clone(&wf), placement, rt_cfg);
 
     // Node 1 hosts the first post-entry level under the by-level
@@ -144,13 +102,13 @@ pub(crate) fn run_chaos_cluster(bench: Benchmark, cfg: &ChaosClusterConfig) -> C
     let run = run_verified(
         "chaos",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("chaos"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| rt.invoke(vec![(name, payload)]),
         || {
-            crash = Some(hunt_crash(&rt, victim, cfg.crash_deadline));
-            std::thread::sleep(cfg.outage); // frames inbound to the victim die here
+            crash = Some(hunt_crash(&rt, victim, spec.fault_deadline));
+            std::thread::sleep(spec.outage); // frames inbound to the victim die here
             rt.restart_node(victim);
         },
         |req, timeout| rt.wait(req, timeout),
@@ -213,12 +171,8 @@ mod tests {
     #[test]
     fn all_benchmarks_recover_byte_identically_under_chaos() {
         for bench in Benchmark::ALL {
-            let cfg = ChaosClusterConfig {
-                payload_bytes: 128 * 1024,
-                requests: 1,
-                ..ChaosClusterConfig::default()
-            };
-            let report = run_chaos_cluster(bench, &cfg);
+            let spec = WorkloadSpec::new().payload_bytes(128 * 1024).requests(1);
+            let report = run_chaos_cluster(bench, &spec);
             assert_eq!(report.requests, 1);
             assert!(report.output_bytes > 0, "{bench}: empty output");
             assert!(report.crash.inflight_transfers > 0);
@@ -231,14 +185,11 @@ mod tests {
     #[test]
     fn distinct_seeds_draw_distinct_chaos_and_still_recover() {
         for seed in [1, 2] {
-            // `seed` alone is enough: chaos_cluster re-seeds the plan.
-            let cfg = ChaosClusterConfig {
-                seed,
-                payload_bytes: 96 * 1024,
-                requests: 1,
-                ..ChaosClusterConfig::default()
-            };
-            let report = run_chaos_cluster(Benchmark::Svd, &cfg);
+            let spec = WorkloadSpec::new()
+                .fault_seed(seed)
+                .payload_bytes(96 * 1024)
+                .requests(1);
+            let report = run_chaos_cluster(Benchmark::Svd, &spec);
             assert_eq!(report.victim, 1);
             assert!(report.stats.recovered_transfers > 0);
         }

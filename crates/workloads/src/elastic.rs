@@ -14,26 +14,24 @@ use std::time::{Duration, Instant};
 
 use dataflower_metrics::Timeline;
 use dataflower_rt::{
-    AutoscaleConfig, ByLevel, Bytes, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder,
-    LinkConfig, LoadAware, PlacementPolicy, RtConfig, RtStats, ScaleEvent,
+    AutoscaleConfig, ByLevel, Bytes, ClusterConfig, ClusterRuntime, ClusterRuntimeBuilder,
+    LinkConfig, LoadAware, PlacementPolicy, RtStats, ScaleEvent,
 };
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder};
 
 use crate::benchmarks::Benchmark;
 use crate::common::{branch_ordered, live_input, noise, reference_output};
 use crate::live::live_runtime;
+use crate::spec::WorkloadSpec;
 
 /// Runtime tuning shared by the elastic scenarios: short DLU and fabric
 /// queues behind an 8 MiB/s shaped fabric (so a burst visibly backs the
 /// DLUs up instead of hiding in channel buffers), and an aggressive
 /// autoscaler (1–3 replicas, 2 ms pressure threshold, a conservative
 /// 2 MiB/s drain-bandwidth estimate, 30 ms cool-down, 1 ms sampling).
-pub(crate) fn elastic_rt_config() -> ClusterRtConfig {
-    ClusterRtConfig {
-        rt: RtConfig {
-            dlu_queue_capacity: 8,
-            ..RtConfig::default()
-        },
+pub(crate) fn elastic_rt_config() -> ClusterConfig {
+    ClusterConfig {
+        dlu_queue_capacity: 8,
         link: LinkConfig {
             bandwidth_bytes_per_sec: Some(8.0 * 1024.0 * 1024.0),
             queue_capacity: 4,
@@ -49,85 +47,7 @@ pub(crate) fn elastic_rt_config() -> ClusterRtConfig {
             sample_interval: Duration::from_millis(1),
             ..AutoscaleConfig::default()
         },
-        ..ClusterRtConfig::default()
-    }
-}
-
-/// Parameters of a warmed-up burst run
-/// ([`WorkloadSpec::warmup`](crate::WorkloadSpec::warmup) plus a
-/// request burst).
-#[derive(Debug, Clone)]
-pub struct BurstyClusterConfig {
-    /// Worker nodes in the topology (by-level spread).
-    pub nodes: usize,
-    /// Sequential warm-up requests before the burst (the paper's base
-    /// rate, Fig. 15's first minute shrunk to a trickle).
-    pub base_requests: usize,
-    /// Requests fired concurrently as the burst.
-    pub burst_requests: usize,
-    /// Client input payload size in bytes.
-    pub payload_bytes: usize,
-    /// Runtime tuning; the default pairs shaped links with an enabled,
-    /// aggressive autoscaler (see the module docs).
-    pub rt: ClusterRtConfig,
-    /// Per-request completion deadline.
-    pub timeout: Duration,
-    /// How long to keep the drained runtime alive waiting for the
-    /// cool-down-guarded scale-in before giving up.
-    pub settle: Duration,
-}
-
-impl Default for BurstyClusterConfig {
-    /// 3 nodes, 2 warm-up requests, a 12-request burst of 192 KiB each,
-    /// elastic runtime knobs, 60 s deadline, 5 s settle window.
-    fn default() -> Self {
-        BurstyClusterConfig {
-            nodes: 3,
-            base_requests: 2,
-            burst_requests: 12,
-            payload_bytes: 192 * 1024,
-            rt: elastic_rt_config(),
-            timeout: Duration::from_secs(60),
-            settle: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Parameters of a Zipf-skewed fan-out run
-/// ([`WorkloadSpec::skewed_fanout`](crate::WorkloadSpec::skewed_fanout)).
-#[derive(Debug, Clone)]
-pub struct SkewedFanoutConfig {
-    /// Worker nodes; functions are placed with the [`LoadAware`] policy
-    /// over the modeled branch costs.
-    pub nodes: usize,
-    /// Fan-out branches of the split.
-    pub branches: usize,
-    /// Zipf exponent of the shard-size skew: branch *i* receives a share
-    /// proportional to `(i+1)^-s`. Zero means even shards.
-    pub zipf_exponent: f64,
-    /// Concurrent requests to drive through the workflow.
-    pub requests: usize,
-    /// Client input payload size in bytes.
-    pub payload_bytes: usize,
-    /// Runtime tuning; same elastic default as [`BurstyClusterConfig`].
-    pub rt: ClusterRtConfig,
-    /// Per-request completion deadline.
-    pub timeout: Duration,
-}
-
-impl Default for SkewedFanoutConfig {
-    /// 3 nodes, 8 branches with a 1.2 Zipf exponent, 6 concurrent
-    /// requests of 256 KiB, elastic runtime knobs, 60 s deadline.
-    fn default() -> Self {
-        SkewedFanoutConfig {
-            nodes: 3,
-            branches: 8,
-            zipf_exponent: 1.2,
-            requests: 6,
-            payload_bytes: 256 * 1024,
-            rt: elastic_rt_config(),
-            timeout: Duration::from_secs(60),
-        }
+        ..ClusterConfig::default()
     }
 }
 
@@ -174,41 +94,46 @@ impl ElasticReport {
     }
 }
 
-/// The warmed-up burst runner — the body behind
-/// [`WorkloadSpec`](crate::WorkloadSpec) with a non-zero warm-up.
-pub(crate) fn run_bursty_cluster(bench: Benchmark, cfg: &BurstyClusterConfig) -> ElasticReport {
+/// The warmed-up burst runner — the body of a [`WorkloadSpec`] with a
+/// non-zero warm-up: by-level spread, the spec's `config()` or
+/// [`elastic_rt_config`], `warmup` sequential requests (the paper's base
+/// rate, Fig. 15's first minute shrunk to a trickle), then the
+/// closed-loop burst, then up to `settle` for the scale-in.
+pub(crate) fn run_bursty_cluster(bench: Benchmark, spec: &WorkloadSpec) -> ElasticReport {
     let wf = bench.workflow();
-    let placement = ByLevel.initial(&wf, cfg.nodes);
-    let rt = live_runtime(bench, Arc::clone(&wf), placement, cfg.rt.clone());
-    let (input_name, input) = live_input(bench, cfg.payload_bytes);
+    let placement = ByLevel.initial(&wf, spec.nodes);
+    let rt_cfg = spec.rt.clone().unwrap_or_else(elastic_rt_config);
+    let rt = live_runtime(bench, Arc::clone(&wf), placement, rt_cfg);
+    let burst_requests = spec.closed_loop_requests("bursty_cluster");
+    let (input_name, input) = live_input(bench, spec.payload_bytes);
     let expected = reference_output(bench, &input);
     let input = Bytes::from(input);
 
     let t0 = Instant::now();
     let mut output_bytes = 0;
     // Warm-up trickle: sequential, so the pools stay at minimum.
-    for _ in 0..cfg.base_requests {
+    for _ in 0..spec.warmup_requests {
         output_bytes += validate_one(
             &rt,
             rt.invoke(vec![(input_name.to_owned(), input.clone())]),
-            cfg.timeout,
+            spec.timeout,
             &expected,
             "bursty_cluster warm-up",
         );
     }
     // The burst: everything at once.
-    let reqs: Vec<_> = (0..cfg.burst_requests.max(1))
+    let reqs: Vec<_> = (0..burst_requests.max(1))
         .map(|_| rt.invoke(vec![(input_name.to_owned(), input.clone())]))
         .collect();
-    let requests = cfg.base_requests + reqs.len();
+    let requests = spec.warmup_requests + reqs.len();
     for req in reqs {
-        output_bytes += validate_one(&rt, req, cfg.timeout, &expected, "bursty_cluster burst");
+        output_bytes += validate_one(&rt, req, spec.timeout, &expected, "bursty_cluster burst");
     }
     let elapsed = t0.elapsed();
 
     // Drained: hold the runtime open until the cool-down-guarded
     // scale-in fires (or the settle window closes).
-    let settle_deadline = Instant::now() + cfg.settle;
+    let settle_deadline = Instant::now() + spec.settle;
     while rt.stats().scale_in_events == 0 && Instant::now() < settle_deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -216,24 +141,33 @@ pub(crate) fn run_bursty_cluster(bench: Benchmark, cfg: &BurstyClusterConfig) ->
     finish_report(
         rt,
         format!("bursty_cluster/{}", bench.name()),
-        cfg.nodes,
+        spec.nodes,
         requests,
         elapsed,
         output_bytes,
     )
 }
 
-/// The Zipf-skewed fan-out runner — the body behind
-/// [`WorkloadSpec::skewed_fanout`](crate::WorkloadSpec::skewed_fanout).
-pub(crate) fn run_skewed_fanout(cfg: &SkewedFanoutConfig) -> ElasticReport {
-    assert!(cfg.branches > 0, "skewed fan-out needs at least one branch");
-    let shares = zipf_shares(cfg.branches, cfg.zipf_exponent);
+/// The Zipf-skewed fan-out runner — the body of a
+/// [`WorkloadSpec::skewed_fanout`] spec (whose
+/// [`Workload::SkewedFanout`](crate::Workload::SkewedFanout) fields are
+/// the last two arguments): branch *i* receives a share proportional to
+/// `(i+1)^-zipf_exponent` (zero means even shards), functions are placed
+/// with the [`LoadAware`] policy over the modeled branch costs, the
+/// config is the spec's `config()` or [`elastic_rt_config`].
+pub(crate) fn run_skewed_fanout(
+    spec: &WorkloadSpec,
+    branches: usize,
+    zipf_exponent: f64,
+) -> ElasticReport {
+    assert!(branches > 0, "skewed fan-out needs at least one branch");
+    let shares = zipf_shares(branches, zipf_exponent);
     let wf = skewed_workflow(&shares);
-    let placement = LoadAware::idle().initial(&wf, cfg.nodes);
+    let placement = LoadAware::idle().initial(&wf, spec.nodes);
 
     let mut builder = ClusterRuntimeBuilder::new(Arc::clone(&wf))
         .placement(placement)
-        .config(cfg.rt.clone());
+        .config(spec.rt.clone().unwrap_or_else(elastic_rt_config));
     let split_shares = shares.clone();
     builder = builder.register("skew_split", move |ctx| {
         let blob = ctx.input("blob").expect("client blob").clone();
@@ -248,7 +182,7 @@ pub(crate) fn run_skewed_fanout(cfg: &SkewedFanoutConfig) -> ElasticReport {
             );
         }
     });
-    for i in 0..cfg.branches {
+    for i in 0..branches {
         builder = builder.register(format!("skew_work_{i}"), move |ctx| {
             let shard = ctx.input("shard").expect("shard");
             ctx.put("piece", Bytes::from(skew_transform(shard, i)));
@@ -265,7 +199,7 @@ pub(crate) fn run_skewed_fanout(cfg: &SkewedFanoutConfig) -> ElasticReport {
         .start()
         .expect("skewed fan-out bodies cover the DAG");
 
-    let input = noise(cfg.payload_bytes, 0x5ca1_ab1e);
+    let input = noise(spec.payload_bytes, 0x5ca1_ab1e);
     let expected: Vec<u8> = zipf_spans(input.len(), &shares)
         .into_iter()
         .enumerate()
@@ -274,20 +208,20 @@ pub(crate) fn run_skewed_fanout(cfg: &SkewedFanoutConfig) -> ElasticReport {
     let input = Bytes::from(input);
 
     let t0 = Instant::now();
-    let reqs: Vec<_> = (0..cfg.requests.max(1))
+    let reqs: Vec<_> = (0..spec.closed_loop_requests("skewed_fanout").max(1))
         .map(|_| rt.invoke(vec![("blob".to_owned(), input.clone())]))
         .collect();
     let requests = reqs.len();
     let mut output_bytes = 0;
     for req in reqs {
-        output_bytes += validate_one(&rt, req, cfg.timeout, &expected, "skewed_fanout");
+        output_bytes += validate_one(&rt, req, spec.timeout, &expected, "skewed_fanout");
     }
     let elapsed = t0.elapsed();
 
     finish_report(
         rt,
-        format!("skewed_fanout/{}branches", cfg.branches),
-        cfg.nodes,
+        format!("skewed_fanout/{branches}branches"),
+        spec.nodes,
         requests,
         elapsed,
         output_bytes,
@@ -416,7 +350,11 @@ mod tests {
 
     #[test]
     fn bursty_cluster_scales_out_and_back_in_with_identical_bytes() {
-        let report = run_bursty_cluster(Benchmark::Wc, &BurstyClusterConfig::default());
+        let spec = WorkloadSpec::new()
+            .warmup(2)
+            .requests(12)
+            .payload_bytes(192 * 1024);
+        let report = run_bursty_cluster(Benchmark::Wc, &spec);
         assert_eq!(report.requests, 14);
         assert!(report.output_bytes > 0);
         assert!(
@@ -438,7 +376,7 @@ mod tests {
 
     #[test]
     fn skewed_fanout_reproduces_reference_bytes_across_nodes() {
-        let report = run_skewed_fanout(&SkewedFanoutConfig::default());
+        let report = run_skewed_fanout(&WorkloadSpec::new().requests(6), 8, 1.2);
         assert_eq!(report.requests, 6);
         assert!(report.output_bytes > 0);
         assert!(
@@ -449,13 +387,8 @@ mod tests {
 
     #[test]
     fn skewed_fanout_single_branch_degenerates_cleanly() {
-        let cfg = SkewedFanoutConfig {
-            branches: 1,
-            requests: 1,
-            payload_bytes: 32 * 1024,
-            ..SkewedFanoutConfig::default()
-        };
-        let report = run_skewed_fanout(&cfg);
+        let spec = WorkloadSpec::new().requests(1).payload_bytes(32 * 1024);
+        let report = run_skewed_fanout(&spec, 1, 1.2);
         assert_eq!(report.requests, 1);
         assert_eq!(report.output_bytes, 32 * 1024);
     }

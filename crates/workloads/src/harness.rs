@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dataflower_cluster::{run, ClusterConfig, ContainerSpec, RunReport, World};
+use dataflower_cluster::{run, ContainerSpec, RunReport, TestbedConfig, World};
 use dataflower_sim::{SimDuration, SimTime};
 use dataflower_workflow::Workflow;
 
@@ -14,7 +14,7 @@ use crate::system::SystemKind;
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Cluster layout and timing constants.
-    pub cluster: ClusterConfig,
+    pub cluster: TestbedConfig,
     /// Container spec handed to the engine (Fig. 17 varies this).
     pub container_spec: ContainerSpec,
     /// Margin after the load window before the run is cut off (lets
@@ -25,7 +25,7 @@ pub struct Scenario {
 impl Default for Scenario {
     fn default() -> Self {
         Scenario {
-            cluster: ClusterConfig::default(),
+            cluster: TestbedConfig::default(),
             container_spec: ContainerSpec::default(),
             drain: SimDuration::from_secs(120),
         }
@@ -36,7 +36,7 @@ impl Scenario {
     /// Scenario with a specific RNG seed.
     pub fn seeded(seed: u64) -> Self {
         Scenario {
-            cluster: ClusterConfig::default().with_seed(seed),
+            cluster: TestbedConfig::default().with_seed(seed),
             ..Scenario::default()
         }
     }

@@ -13,7 +13,7 @@
 //!   centralized platform and the Fig. 19 state machine);
 //! * [`Scenario`] — the *simulated* open-loop, closed-loop, co-located
 //!   and bursty experiment runners matching the paper's load patterns;
-//! * [`WorkloadSpec`] — the composable builder over every **live**
+//! * [`WorkloadSpec`] — the one configuration record of every **live**
 //!   scenario: pick a benchmark (or the Zipf-skewed fan-out), a
 //!   [`Transport`] (in-process fabric or one OS process per node over
 //!   TCP — see [`serve_worker_if_spawned`]), a [`FaultMode`] (seeded
@@ -75,13 +75,13 @@ mod spec;
 mod system;
 
 pub use benchmarks::{image_pipeline, svd, video_ffmpeg, wordcount, Benchmark, WcParams};
-pub use chaos::{ChaosClusterConfig, ChaosClusterReport};
-pub use elastic::{BurstyClusterConfig, ElasticReport, SkewedFanoutConfig};
+pub use chaos::ChaosClusterReport;
+pub use elastic::ElasticReport;
 pub use fuzz::{run_diff_fuzz, FuzzConfig, FuzzFailure, FuzzReport};
 pub use harness::Scenario;
-pub use live::{LiveClusterConfig, LiveClusterReport, LivePlacement};
+pub use live::{LiveClusterReport, LivePlacement};
 pub use loadgen::{LoadgenCell, LoadgenConfig, LoadgenReport, TrafficSpec};
-pub use node_loss::{NodeLossConfig, NodeLossReport, NodeLossTransport};
+pub use node_loss::NodeLossReport;
 pub use socket::{bench_input, launch_bench_cluster, serve_worker_if_spawned, TcpProfile};
 pub use spec::{
     FaultMode, ReportDetail, Traffic, Transport, Workload, WorkloadReport, WorkloadSpec,

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use dataflower_rt::Placement;
 use dataflower_rt::{
-    ByLevel, Bytes, ClusterRtConfig, ClusterRuntime, ClusterRuntimeBuilder, PlacementPolicy,
+    ByLevel, Bytes, ClusterConfig, ClusterRuntime, ClusterRuntimeBuilder, PlacementPolicy,
     RoundRobin, RtStats, SingleNode,
 };
 use dataflower_workflow::Workflow;
@@ -30,6 +30,7 @@ use crate::common::{
     blur, branch_ordered, count_table, digest_expand, downsample, even_spans, factorize, render,
     render_counts, run_verified, transcode, SVD_BLOCKS, VID_BRANCHES, WC_FAN_OUT,
 };
+use crate::spec::WorkloadSpec;
 
 /// How the live runner places benchmark functions on nodes. Each variant
 /// stands for one of the stock [`PlacementPolicy`] implementations,
@@ -60,39 +61,6 @@ impl LivePlacement {
     }
 }
 
-/// Parameters of a plain closed-loop live run (the
-/// [`WorkloadSpec`](crate::WorkloadSpec) default).
-#[derive(Debug, Clone)]
-pub struct LiveClusterConfig {
-    /// Worker nodes in the topology.
-    pub nodes: usize,
-    /// Placement strategy over those nodes.
-    pub placement: LivePlacement,
-    /// Concurrent requests to drive through the workflow.
-    pub requests: usize,
-    /// Client input payload size in bytes.
-    pub payload_bytes: usize,
-    /// Runtime tuning (pipe thresholds, chunking, link shaping).
-    pub rt: ClusterRtConfig,
-    /// Per-request completion deadline.
-    pub timeout: Duration,
-}
-
-impl Default for LiveClusterConfig {
-    /// 3 nodes, by-level spread, one request of 256 KiB, default runtime
-    /// knobs, 60 s deadline.
-    fn default() -> Self {
-        LiveClusterConfig {
-            nodes: 3,
-            placement: LivePlacement::ByLevel,
-            requests: 1,
-            payload_bytes: 256 * 1024,
-            rt: ClusterRtConfig::default(),
-            timeout: Duration::from_secs(60),
-        }
-    }
-}
-
 /// Outcome of one live benchmark run: wall-clock time plus the runtime's
 /// pipe/transfer counters. Produced by the live runners.
 #[derive(Debug, Clone)]
@@ -111,41 +79,30 @@ pub struct LiveClusterReport {
     pub stats: RtStats,
 }
 
-/// Untraced [`run_live_cluster_traced`] (test convenience).
-#[cfg(test)]
-pub(crate) fn run_live_cluster(
-    bench: Benchmark,
-    cfg: &LiveClusterConfig,
-    policy: &dyn PlacementPolicy,
-) -> LiveClusterReport {
-    run_live_cluster_traced(bench, cfg, policy, None)
-}
-
-/// The plain closed-loop live runner — the body behind
-/// [`WorkloadSpec`](crate::WorkloadSpec) (no faults, closed loop,
-/// in-process). When `trace_path` is set, the runtime records a
+/// The plain closed-loop live runner — the body of a
+/// [`WorkloadSpec`] with no faults, closed-loop traffic and the
+/// in-process fabric, placed by `policy`. With
+/// [`WorkloadSpec::record_trace`] set, the runtime records a
 /// [`dataflower_rt::trace`] event stream and writes it (in the on-disk
-/// `DFTR` encoding) to that path after the run — the
-/// [`WorkloadSpec::record_trace`](crate::WorkloadSpec::record_trace)
-/// knob.
+/// `DFTR` encoding) to that path after the run.
 pub(crate) fn run_live_cluster_traced(
     bench: Benchmark,
-    cfg: &LiveClusterConfig,
+    spec: &WorkloadSpec,
     policy: &dyn PlacementPolicy,
-    trace_path: Option<&std::path::Path>,
 ) -> LiveClusterReport {
     let wf = bench.workflow();
-    let placement = policy.initial(&wf, cfg.nodes);
-    let rt = live_builder(bench, Arc::clone(&wf), placement, cfg.rt.clone())
-        .record_trace(trace_path.is_some())
+    let placement = policy.initial(&wf, spec.nodes);
+    let rt_cfg = spec.rt.clone().unwrap_or_default();
+    let rt = live_builder(bench, Arc::clone(&wf), placement, rt_cfg)
+        .record_trace(spec.record_trace.is_some())
         .start()
         .expect("live benchmark bodies cover the DAG");
     let run = run_verified(
         "live",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("live"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| rt.invoke(vec![(name, payload)]),
         || {},
         |req, timeout| rt.wait(req, timeout),
@@ -157,7 +114,7 @@ pub(crate) fn run_live_cluster_traced(
     // request's critical path can be recorded after the last `wait`
     // returns, so only a post-shutdown read is guaranteed complete.
     let trace = rt.shutdown_into_trace();
-    if let (Some(path), Some(bytes)) = (trace_path, trace) {
+    if let (Some(path), Some(bytes)) = (&spec.record_trace, trace) {
         if let Err(e) = std::fs::write(path, bytes) {
             eprintln!("warning: could not write trace to {}: {e}", path.display());
         }
@@ -180,7 +137,7 @@ pub(crate) fn live_builder(
     bench: Benchmark,
     wf: Arc<Workflow>,
     placement: Placement,
-    rt_cfg: ClusterRtConfig,
+    rt_cfg: ClusterConfig,
 ) -> ClusterRuntimeBuilder {
     let builder = ClusterRuntimeBuilder::new(wf)
         .placement(placement)
@@ -199,7 +156,7 @@ pub(crate) fn live_runtime(
     bench: Benchmark,
     wf: Arc<Workflow>,
     placement: Placement,
-    rt_cfg: ClusterRtConfig,
+    rt_cfg: ClusterConfig,
 ) -> ClusterRuntime {
     live_builder(bench, wf, placement, rt_cfg)
         .start()
@@ -363,11 +320,8 @@ mod tests {
     #[test]
     fn all_benchmarks_complete_on_three_spread_nodes() {
         for bench in Benchmark::ALL {
-            let cfg = LiveClusterConfig {
-                payload_bytes: 96 * 1024,
-                ..LiveClusterConfig::default()
-            };
-            let report = run_live_cluster(bench, &cfg, cfg.placement.policy());
+            let spec = WorkloadSpec::new().payload_bytes(96 * 1024);
+            let report = run_live_cluster_traced(bench, &spec, spec.placement.policy());
             assert_eq!(report.requests, 1);
             assert!(report.output_bytes > 0, "{bench}: empty output");
             assert!(
@@ -379,13 +333,11 @@ mod tests {
 
     #[test]
     fn single_node_run_uses_no_remote_pipe() {
-        let cfg = LiveClusterConfig {
-            nodes: 1,
-            placement: LivePlacement::SingleNode,
-            payload_bytes: 64 * 1024,
-            ..LiveClusterConfig::default()
-        };
-        let report = run_live_cluster(Benchmark::Vid, &cfg, cfg.placement.policy());
+        let spec = WorkloadSpec::new()
+            .nodes(1)
+            .placement(LivePlacement::SingleNode)
+            .payload_bytes(64 * 1024);
+        let report = run_live_cluster_traced(Benchmark::Vid, &spec, spec.placement.policy());
         assert_eq!(report.stats.remote_pipe_transfers, 0);
         assert_eq!(report.stats.remote_bytes, 0);
         assert!(report.stats.local_pipe_transfers > 0);
@@ -393,12 +345,8 @@ mod tests {
 
     #[test]
     fn wc_spread_exercises_remote_and_direct_pipes() {
-        let cfg = LiveClusterConfig {
-            payload_bytes: 256 * 1024,
-            requests: 2,
-            ..LiveClusterConfig::default()
-        };
-        let report = run_live_cluster(Benchmark::Wc, &cfg, cfg.placement.policy());
+        let spec = WorkloadSpec::new().payload_bytes(256 * 1024).requests(2);
+        let report = run_live_cluster_traced(Benchmark::Wc, &spec, spec.placement.policy());
         // 64 KiB shards stream remotely; the small count tables cross on
         // the direct socket.
         assert!(report.stats.remote_pipe_transfers > 0);
@@ -408,11 +356,8 @@ mod tests {
 
     #[test]
     fn custom_policy_drives_the_live_runner() {
-        let cfg = LiveClusterConfig {
-            payload_bytes: 64 * 1024,
-            ..LiveClusterConfig::default()
-        };
-        let report = run_live_cluster(Benchmark::Svd, &cfg, &LoadAware::idle());
+        let spec = WorkloadSpec::new().payload_bytes(64 * 1024);
+        let report = run_live_cluster_traced(Benchmark::Svd, &spec, &LoadAware::idle());
         assert_eq!(report.requests, 1);
         assert!(report.output_bytes > 0);
     }

@@ -286,7 +286,7 @@ fn build_targets(cell: &LoadgenCell, bench_mix: &ZipfSampler) -> Vec<Target> {
                 Transport::Inproc => {
                     let wf = bench.workflow();
                     let placement = dataflower_rt::ByLevel.initial(&wf, cell.nodes.max(1));
-                    let rt_cfg = dataflower_rt::ClusterRtConfig {
+                    let rt_cfg = dataflower_rt::ClusterConfig {
                         admission,
                         ..Default::default()
                     };

@@ -19,24 +19,22 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dataflower_rt::{
-    ByLevel, ClusterConfig, ClusterRtConfig, LinkConfig, PlacementPolicy, RtStats, TcpCluster,
-};
+use dataflower_rt::{ByLevel, ClusterConfig, LinkConfig, PlacementPolicy, RtStats, TcpCluster};
 use dataflower_workflow::Workflow;
 
 use crate::benchmarks::Benchmark;
 use crate::common::run_verified;
 use crate::live::live_runtime;
 use crate::socket::{launch_bench_cluster, TcpProfile};
+use crate::spec::{Transport, WorkloadSpec};
 
-/// Runtime tuning of the node-loss scenarios, built through the fluent
-/// [`ClusterConfig`] front door: the chaos streaming knobs (4 KiB
-/// direct threshold and chunks, 8 KiB checkpoint intervals, 4 MiB/s
-/// links) so a kill reliably lands mid-stream, §6.2 recovery with a
+/// Runtime tuning of the node-loss scenarios: the chaos streaming knobs
+/// (4 KiB direct threshold and chunks, 8 KiB checkpoint intervals,
+/// 4 MiB/s links) so a kill reliably lands mid-stream, §6.2 recovery with a
 /// 50 ms retransmit timeout, and the orchestrator control plane with
 /// 10 ms heartbeats and a 3-miss loss threshold. No frame chaos — the
 /// scenario isolates the relocation story.
-pub(crate) fn orchestrated_rt_config() -> ClusterRtConfig {
+pub(crate) fn orchestrated_rt_config() -> ClusterConfig {
     ClusterConfig::new()
         .direct_threshold_bytes(4 * 1024)
         .chunk_bytes(4 * 1024)
@@ -47,69 +45,6 @@ pub(crate) fn orchestrated_rt_config() -> ClusterRtConfig {
         })
         .recovery(Duration::from_millis(50))
         .heartbeat(Duration::from_millis(10), 3)
-        .build()
-}
-
-/// Which transport a node-loss run executes
-/// over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeLossTransport {
-    /// The in-process fabric: one
-    /// [`ClusterRuntime`](dataflower_rt::ClusterRuntime), heartbeat
-    /// responder threads, a crash that fences the node's data plane.
-    Inproc,
-    /// One OS process per node over real localhost TCP sockets: the
-    /// coordinator pings workers over the control channel, and the kill
-    /// is a real `kill -9`.
-    Tcp,
-}
-
-impl NodeLossTransport {
-    fn name(self) -> &'static str {
-        match self {
-            NodeLossTransport::Inproc => "inproc",
-            NodeLossTransport::Tcp => "tcp",
-        }
-    }
-}
-
-/// Parameters of a node-loss or live-migration run.
-#[derive(Debug, Clone)]
-pub struct NodeLossConfig {
-    /// Transport the cluster runs over (live migration is in-process
-    /// only and ignores this field).
-    pub transport: NodeLossTransport,
-    /// Worker nodes in the topology (by-level spread).
-    pub nodes: usize,
-    /// Concurrent requests to drive through the workflow.
-    pub requests: usize,
-    /// Client input payload size in bytes.
-    pub payload_bytes: usize,
-    /// Seed recorded in the worker tag (TCP mode); reserved for fault
-    /// plans in-process.
-    pub seed: u64,
-    /// Per-request completion deadline, node-loss detection and
-    /// relocation included.
-    pub timeout: Duration,
-    /// How long the runner hunts for a kill window with an in-flight
-    /// transfer toward the victim before giving up.
-    pub kill_deadline: Duration,
-}
-
-impl Default for NodeLossConfig {
-    /// In-process transport, 3 nodes, 1 request of 256 KiB, seed 7,
-    /// 60 s deadline, 20 s kill hunt.
-    fn default() -> Self {
-        NodeLossConfig {
-            transport: NodeLossTransport::Inproc,
-            nodes: 3,
-            requests: 1,
-            payload_bytes: 256 * 1024,
-            seed: 7,
-            timeout: Duration::from_secs(60),
-            kill_deadline: Duration::from_secs(20),
-        }
-    }
 }
 
 /// Outcome of one node-loss (or live-migration) run. Produced by
@@ -150,48 +85,50 @@ fn hosted_on(wf: &Workflow, nodes: usize, victim: usize) -> Vec<String> {
 }
 
 /// The permanent-node-loss runner — dispatches on the transport; the
-/// body behind [`WorkloadSpec`](crate::WorkloadSpec) with
-/// [`FaultMode::NodeLoss`](crate::FaultMode::NodeLoss).
-pub(crate) fn run_node_loss(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
+/// body of a [`WorkloadSpec`] with
+/// [`FaultMode::NodeLoss`](crate::FaultMode::NodeLoss). By-level spread
+/// and [`orchestrated_rt_config`] on both transports; the spec's seed
+/// goes into the worker tag over TCP.
+pub(crate) fn run_node_loss(bench: Benchmark, spec: &WorkloadSpec) -> NodeLossReport {
     assert!(
-        cfg.nodes >= 2,
+        spec.nodes >= 2,
         "node_loss_relocation needs a surviving node"
     );
-    match cfg.transport {
-        NodeLossTransport::Inproc => node_loss_inproc(bench, cfg),
-        NodeLossTransport::Tcp => node_loss_tcp(bench, cfg),
+    match spec.transport {
+        Transport::Inproc => node_loss_inproc(bench, spec),
+        Transport::Tcp => node_loss_tcp(bench, spec),
     }
 }
 
-/// The voluntary live-migration runner (in-process only) — the body
-/// behind [`WorkloadSpec`](crate::WorkloadSpec) with
+/// The voluntary live-migration runner (in-process only) — the body of
+/// a [`WorkloadSpec`] with
 /// [`FaultMode::LiveMigration`](crate::FaultMode::LiveMigration).
-pub(crate) fn run_live_migration(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
-    assert!(cfg.nodes >= 2, "live_migration needs a second node");
+pub(crate) fn run_live_migration(bench: Benchmark, spec: &WorkloadSpec) -> NodeLossReport {
+    assert!(spec.nodes >= 2, "live_migration needs a second node");
     let wf = bench.workflow();
-    let placement = ByLevel.initial(&wf, cfg.nodes);
+    let placement = ByLevel.initial(&wf, spec.nodes);
     let rt = live_runtime(bench, Arc::clone(&wf), placement, orchestrated_rt_config());
     let from = 1;
-    let moved = hosted_on(&wf, cfg.nodes, from);
+    let moved = hosted_on(&wf, spec.nodes, from);
     let subject = moved.first().expect("level 1 hosts a function").clone();
 
     let run = run_verified(
         "migration",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("live_migration"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| rt.invoke(vec![(name, payload)]),
         || {
             // Wait for payloads to be in flight toward the subject's
             // node so the move really happens mid-stream.
-            let give_up = Instant::now() + cfg.kill_deadline;
+            let give_up = Instant::now() + spec.fault_deadline;
             while rt.node(from).inflight_transfers() == 0 && Instant::now() < give_up {
                 std::thread::sleep(Duration::from_micros(200));
             }
             let mut to = rt.least_pressured_node();
             if to == from {
-                to = (from + 1) % cfg.nodes;
+                to = (from + 1) % spec.nodes;
             }
             rt.migrate_function(&subject, to)
                 .expect("migrate a known function to a live node");
@@ -212,7 +149,7 @@ pub(crate) fn run_live_migration(bench: Benchmark, cfg: &NodeLossConfig) -> Node
     rt.shutdown();
     NodeLossReport {
         benchmark: bench.name(),
-        transport: NodeLossTransport::Inproc.name(),
+        transport: Transport::Inproc.name(),
         nodes,
         requests: run.requests,
         elapsed: run.elapsed,
@@ -225,25 +162,25 @@ pub(crate) fn run_live_migration(bench: Benchmark, cfg: &NodeLossConfig) -> Node
 
 /// In-process node loss: crash the victim permanently and let the
 /// controller thread detect the heartbeat silence and relocate.
-fn node_loss_inproc(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
+fn node_loss_inproc(bench: Benchmark, spec: &WorkloadSpec) -> NodeLossReport {
     let wf = bench.workflow();
-    let placement = ByLevel.initial(&wf, cfg.nodes);
+    let placement = ByLevel.initial(&wf, spec.nodes);
     let rt = live_runtime(bench, Arc::clone(&wf), placement, orchestrated_rt_config());
     // Node 1 hosts the first post-entry level under the by-level
     // spread — the node receiving the large fan-out intermediates, so
     // the kill always lands on checkpoint-marked streams.
     let victim = 1;
-    let moved = hosted_on(&wf, cfg.nodes, victim);
+    let moved = hosted_on(&wf, spec.nodes, victim);
 
     let run = run_verified(
         "node-loss",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("node_loss"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| rt.invoke(vec![(name, payload)]),
         || {
-            let give_up = Instant::now() + cfg.kill_deadline;
+            let give_up = Instant::now() + spec.fault_deadline;
             loop {
                 assert!(
                     Instant::now() < give_up,
@@ -286,7 +223,7 @@ fn node_loss_inproc(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
     rt.shutdown();
     NodeLossReport {
         benchmark: bench.name(),
-        transport: NodeLossTransport::Inproc.name(),
+        transport: Transport::Inproc.name(),
         nodes,
         requests: run.requests,
         elapsed: run.elapsed,
@@ -300,22 +237,22 @@ fn node_loss_inproc(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
 /// Worker-process node loss: `kill -9` the victim's OS process and let
 /// the coordinator's control-channel pings detect the death and
 /// broadcast the relocation.
-fn node_loss_tcp(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
+fn node_loss_tcp(bench: Benchmark, spec: &WorkloadSpec) -> NodeLossReport {
     let wf = bench.workflow();
-    let cluster = launch_bench_cluster(bench, cfg.nodes, cfg.seed, TcpProfile::Orchestrated)
+    let cluster = launch_bench_cluster(bench, spec.nodes, spec.seed, TcpProfile::Orchestrated)
         .expect("launch orchestrated TCP cluster");
     let victim = 1;
-    let moved = hosted_on(&wf, cfg.nodes, victim);
+    let moved = hosted_on(&wf, spec.nodes, victim);
 
     let run = run_verified(
         "tcp node-loss",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("node_loss"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| cluster.invoke(vec![(name, payload)]),
         || {
-            hunt_kill_permanent(&cluster, victim, cfg.kill_deadline);
+            hunt_kill_permanent(&cluster, victim, spec.fault_deadline);
         },
         |req, timeout| cluster.wait(req, timeout),
     );
@@ -343,7 +280,7 @@ fn node_loss_tcp(bench: Benchmark, cfg: &NodeLossConfig) -> NodeLossReport {
     cluster.shutdown();
     NodeLossReport {
         benchmark: bench.name(),
-        transport: NodeLossTransport::Tcp.name(),
+        transport: Transport::Tcp.name(),
         nodes,
         requests: run.requests,
         elapsed: run.elapsed,
@@ -381,11 +318,8 @@ mod tests {
     #[test]
     fn all_benchmarks_survive_permanent_node_loss_inproc() {
         for bench in Benchmark::ALL {
-            let cfg = NodeLossConfig {
-                payload_bytes: 128 * 1024,
-                ..NodeLossConfig::default()
-            };
-            let report = run_node_loss(bench, &cfg);
+            let spec = WorkloadSpec::new().payload_bytes(128 * 1024);
+            let report = run_node_loss(bench, &spec);
             assert_eq!(report.requests, 1);
             assert!(report.output_bytes > 0, "{bench}: empty output");
             assert!(report.relocated > 0);
@@ -442,11 +376,11 @@ mod tests {
     fn double_kill_does_not_double_relocate() {
         let bench = Benchmark::Wc;
         let wf = bench.workflow();
-        let cfg = NodeLossConfig::default();
-        let placement = ByLevel.initial(&wf, cfg.nodes);
+        let nodes = 3;
+        let placement = ByLevel.initial(&wf, nodes);
         let rt = live_runtime(bench, Arc::clone(&wf), placement, orchestrated_rt_config());
         let victim = 1;
-        let moved = hosted_on(&wf, cfg.nodes, victim);
+        let moved = hosted_on(&wf, nodes, victim);
         rt.crash_node(victim);
         let give_up = Instant::now() + Duration::from_secs(10);
         while rt.stats().relocated_functions < moved.len() as u64 && Instant::now() < give_up {
@@ -472,12 +406,8 @@ mod tests {
 
     #[test]
     fn live_migration_is_invisible_in_the_outputs() {
-        let cfg = NodeLossConfig {
-            payload_bytes: 128 * 1024,
-            requests: 2,
-            ..NodeLossConfig::default()
-        };
-        let report = run_live_migration(Benchmark::Svd, &cfg);
+        let spec = WorkloadSpec::new().payload_bytes(128 * 1024).requests(2);
+        let report = run_live_migration(Benchmark::Svd, &spec);
         assert_eq!(report.requests, 2);
         assert!(report.output_bytes > 0);
         assert!(report.stats.live_migrations >= 1);

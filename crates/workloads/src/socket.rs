@@ -10,20 +10,19 @@
 //! first thing; the worker rebuilds the identical workflow from the
 //! tag the coordinator passed and never returns.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dataflower_rt::{
-    AdmissionConfig, ByLevel, ClusterRtConfig, CrashReport, PlacementPolicy, RecoveryConfig,
-    TcpCluster,
+    AdmissionConfig, ByLevel, ClusterConfig, CrashReport, PlacementPolicy, TcpCluster,
 };
 use dataflower_workflow::json;
 
 use crate::benchmarks::Benchmark;
-use crate::chaos::{chaos_rt_config, ChaosClusterConfig, ChaosClusterReport};
+use crate::chaos::{chaos_rt_config, ChaosClusterReport};
 use crate::common::{live_input, run_verified};
-use crate::live::live_builder;
+use crate::live::{live_builder, LiveClusterReport};
 use crate::node_loss::orchestrated_rt_config;
+use crate::spec::WorkloadSpec;
 
 /// Which runtime tuning a TCP cluster (coordinator and workers alike)
 /// derives from the worker tag.
@@ -54,17 +53,17 @@ impl TcpProfile {
         }
     }
 
-    /// The runtime config this profile stands for. Every process of the
-    /// cluster calls this with the same arguments, so the topology-
-    /// defining knobs (chunking, thresholds, recovery) agree everywhere.
-    pub fn rt_config(self, seed: u64) -> ClusterRtConfig {
+    /// The [`ClusterConfig`] this profile stands for — the one way a
+    /// TCP cluster is configured. The coordinator and every worker call
+    /// this with the tag's `(profile, seed)`, so the records they run
+    /// with are equal field for field (chunking, thresholds, recovery,
+    /// fault plan); only `admission`, a client-side matter, is set on the
+    /// coordinator's copy alone.
+    pub fn rt_config(self, seed: u64) -> ClusterConfig {
         match self {
-            TcpProfile::Plain => ClusterRtConfig {
-                recovery: RecoveryConfig {
-                    enabled: true,
-                    retransmit_timeout: Duration::from_millis(50),
-                },
-                ..ClusterRtConfig::default()
+            TcpProfile::Plain => ClusterConfig {
+                recovery: Some(Duration::from_millis(50)),
+                ..ClusterConfig::default()
             },
             TcpProfile::Chaos => chaos_rt_config(seed),
             TcpProfile::Orchestrated => orchestrated_rt_config(),
@@ -152,7 +151,7 @@ pub(crate) fn launch_gated_cluster(
     let wf = bench.workflow();
     let placement = ByLevel.initial(&wf, nodes);
     let tag = worker_tag(bench, nodes, seed, profile);
-    let cfg = ClusterRtConfig {
+    let cfg = ClusterConfig {
         admission,
         ..profile.rt_config(seed)
     };
@@ -161,22 +160,18 @@ pub(crate) fn launch_gated_cluster(
 
 /// The plain closed-loop TCP runner: `bench` as one OS process per node
 /// under [`TcpProfile::Plain`], every request verified byte-for-byte —
-/// the TCP twin of the in-process live runner.
-/// Placement is the by-level spread the worker tag encodes;
-/// `cfg.placement` and `cfg.rt` are ignored in favour of the profile.
-pub(crate) fn run_live_tcp(
-    bench: Benchmark,
-    cfg: &crate::live::LiveClusterConfig,
-    seed: u64,
-) -> crate::live::LiveClusterReport {
-    let cluster = launch_bench_cluster(bench, cfg.nodes, seed, TcpProfile::Plain)
+/// the TCP twin of the in-process live runner. Placement is the by-level
+/// spread and the config the profile's, as the worker tag encodes them
+/// ([`WorkloadSpec::run`] rejects a spec that asks for anything else).
+pub(crate) fn run_live_tcp(bench: Benchmark, spec: &WorkloadSpec) -> LiveClusterReport {
+    let cluster = launch_bench_cluster(bench, spec.nodes, spec.seed, TcpProfile::Plain)
         .expect("launch plain TCP cluster");
     let run = run_verified(
         "tcp live",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("tcp live"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| cluster.invoke(vec![(name, payload)]),
         || {},
         |req, timeout| cluster.wait(req, timeout),
@@ -184,7 +179,7 @@ pub(crate) fn run_live_tcp(
     let stats = cluster.stats();
     let nodes = cluster.node_count();
     cluster.shutdown();
-    crate::live::LiveClusterReport {
+    LiveClusterReport {
         benchmark: bench.name(),
         nodes,
         requests: run.requests,
@@ -194,21 +189,12 @@ pub(crate) fn run_live_tcp(
     }
 }
 
-/// The TCP chaos runner — the body behind
-/// [`WorkloadSpec`](crate::WorkloadSpec) with
+/// The TCP chaos runner — the body of a [`WorkloadSpec`] with
 /// [`FaultMode::ChaosCrashRestart`](crate::FaultMode::ChaosCrashRestart)
 /// over [`Transport::Tcp`](crate::Transport::Tcp).
-pub(crate) fn run_chaos_cluster_tcp(
-    bench: Benchmark,
-    cfg: &ChaosClusterConfig,
-) -> ChaosClusterReport {
-    assert!(cfg.nodes >= 2, "chaos_cluster_tcp needs a node to crash");
-    let wf = bench.workflow();
-    let placement = ByLevel.initial(&wf, cfg.nodes);
-    let mut rt_cfg = chaos_rt_config(cfg.seed);
-    rt_cfg.faults.seed = cfg.seed;
-    let tag = worker_tag(bench, cfg.nodes, cfg.seed, TcpProfile::Chaos);
-    let cluster = TcpCluster::launch(Arc::clone(&wf), placement, rt_cfg.clone(), &tag)
+pub(crate) fn run_chaos_cluster_tcp(bench: Benchmark, spec: &WorkloadSpec) -> ChaosClusterReport {
+    assert!(spec.nodes >= 2, "chaos_cluster_tcp needs a node to crash");
+    let cluster = launch_bench_cluster(bench, spec.nodes, spec.seed, TcpProfile::Chaos)
         .expect("launch TCP cluster");
 
     // Same victim rationale as the in-process scenario: node 1
@@ -220,13 +206,13 @@ pub(crate) fn run_chaos_cluster_tcp(
     let run = run_verified(
         "tcp chaos",
         bench,
-        cfg.requests,
-        cfg.payload_bytes,
-        cfg.timeout,
+        spec.closed_loop_requests("tcp chaos"),
+        spec.payload_bytes,
+        spec.timeout,
         |name, payload| cluster.invoke(vec![(name, payload)]),
         || {
-            crash = Some(hunt_kill(&cluster, victim, cfg.crash_deadline));
-            std::thread::sleep(cfg.outage); // frames toward the dead process die here
+            crash = Some(hunt_kill(&cluster, victim, spec.fault_deadline));
+            std::thread::sleep(spec.outage); // frames toward the dead process die here
             cluster
                 .restart_worker(victim)
                 .expect("restart killed worker");

@@ -1,12 +1,12 @@
-//! The composable workload builder — one front door for every live
-//! scenario.
+//! A live scenario's configuration: one record, [`WorkloadSpec`].
 //!
-//! The scenario surface grew one `Scenario::*` constructor per
-//! combination of benchmark, transport, fault and traffic shape
-//! (`live_cluster`, `chaos_cluster`, `chaos_cluster_tcp`,
-//! `node_loss_relocation`, `bursty_cluster`, `skewed_fanout`, …) — a
-//! matrix that cannot scale. [`WorkloadSpec`] replaces the matrix with
-//! orthogonal aspects:
+//! Benchmark, transport, fault and traffic shape are orthogonal aspects
+//! of the spec; [`WorkloadSpec::run`] picks the runner (plain, chaos,
+//! node loss, migration, bursty, skewed fan-out — each over the fabric
+//! the spec names) and that runner reads the spec's fields directly.
+//! Runtime tuning is a [`ClusterConfig`] handed over with
+//! [`WorkloadSpec::config`]; without one, each runner uses the config its
+//! scenario is built around.
 //!
 //! ```
 //! use dataflower_workloads::{Benchmark, Transport, WorkloadSpec};
@@ -24,17 +24,14 @@
 use std::time::Duration;
 
 use dataflower_metrics::Timeline;
-use dataflower_rt::{ClusterRtConfig, CrashReport, RtStats, ScaleEvent};
+use dataflower_rt::{ClusterConfig, CrashReport, RtStats, ScaleEvent};
 
 use crate::benchmarks::Benchmark;
-use crate::chaos::{run_chaos_cluster, ChaosClusterConfig};
-use crate::elastic::{
-    elastic_rt_config, run_bursty_cluster, run_skewed_fanout, BurstyClusterConfig,
-    SkewedFanoutConfig,
-};
-use crate::live::{run_live_cluster_traced, LiveClusterConfig, LivePlacement};
+use crate::chaos::run_chaos_cluster;
+use crate::elastic::{run_bursty_cluster, run_skewed_fanout};
+use crate::live::{run_live_cluster_traced, LivePlacement};
 use crate::loadgen::{self, CellReport, TrafficSpec};
-use crate::node_loss::{run_live_migration, run_node_loss, NodeLossConfig, NodeLossTransport};
+use crate::node_loss::{run_live_migration, run_node_loss};
 use crate::socket::{run_chaos_cluster_tcp, run_live_tcp};
 
 /// What computation the cluster executes.
@@ -111,21 +108,21 @@ pub enum Traffic {
 /// defaults, and [`run`](WorkloadSpec::run) it.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
-    workload: Workload,
-    nodes: usize,
-    placement: LivePlacement,
-    transport: Transport,
-    payload_bytes: usize,
-    traffic: Traffic,
-    warmup_requests: usize,
-    settle: Duration,
-    rt: Option<ClusterRtConfig>,
-    faults: FaultMode,
-    seed: u64,
-    outage: Duration,
-    fault_deadline: Duration,
-    timeout: Duration,
-    record_trace: Option<std::path::PathBuf>,
+    pub(crate) workload: Workload,
+    pub(crate) nodes: usize,
+    pub(crate) placement: LivePlacement,
+    pub(crate) transport: Transport,
+    pub(crate) payload_bytes: usize,
+    pub(crate) traffic: Traffic,
+    pub(crate) warmup_requests: usize,
+    pub(crate) settle: Duration,
+    pub(crate) rt: Option<ClusterConfig>,
+    pub(crate) faults: FaultMode,
+    pub(crate) seed: u64,
+    pub(crate) outage: Duration,
+    pub(crate) fault_deadline: Duration,
+    pub(crate) timeout: Duration,
+    pub(crate) record_trace: Option<std::path::PathBuf>,
 }
 
 impl Default for WorkloadSpec {
@@ -182,7 +179,9 @@ impl WorkloadSpec {
     }
 
     /// Placement strategy (closed-loop in-process runs only; the other
-    /// runners pin the by-level spread their assertions rely on).
+    /// runners pin the by-level spread their assertions rely on, and
+    /// [`WorkloadSpec::run`] panics on anything else over TCP, where the
+    /// worker tag encodes that spread).
     pub fn placement(mut self, placement: LivePlacement) -> WorkloadSpec {
         self.placement = placement;
         self
@@ -246,13 +245,20 @@ impl WorkloadSpec {
         self
     }
 
-    /// Overrides the runtime tuning. Without this, each runner keeps
-    /// its scenario-appropriate default (chaos knobs under
-    /// [`FaultMode::ChaosCrashRestart`], orchestrated knobs under
-    /// [`FaultMode::NodeLoss`], elastic knobs for bursty/skewed runs,
-    /// stock knobs otherwise).
-    pub fn config(mut self, rt: impl Into<ClusterRtConfig>) -> WorkloadSpec {
-        self.rt = Some(rt.into());
+    /// Overrides the runtime tuning of an in-process run. Without this,
+    /// each runner keeps its scenario's config (chaos knobs under
+    /// [`FaultMode::ChaosCrashRestart`], elastic knobs for bursty/skewed
+    /// runs, stock knobs otherwise).
+    ///
+    /// # Panics
+    ///
+    /// [`WorkloadSpec::run`] panics if this is combined with
+    /// [`Transport::Tcp`] (worker processes derive their config from the
+    /// tag's [`TcpProfile`](crate::TcpProfile)) or with
+    /// [`FaultMode::NodeLoss`] / [`FaultMode::LiveMigration`] (their
+    /// assertions are about the orchestrated config).
+    pub fn config(mut self, rt: ClusterConfig) -> WorkloadSpec {
+        self.rt = Some(rt);
         self
     }
 
@@ -307,7 +313,8 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics on an unsupported combination (skewed fan-out or live
-    /// migration over TCP, faults under open-loop traffic) and on every
+    /// migration over TCP, faults under open-loop traffic, a `config()`
+    /// or `placement()` override the selected runner cannot honour) and on every
     /// verification failure the underlying runner asserts (missed
     /// deadlines, outputs diverging from the reference, a fault story
     /// that did not happen).
@@ -322,53 +329,50 @@ impl WorkloadSpec {
                 "record_trace requires a plain in-process closed-loop benchmark run"
             );
         }
-        if let Workload::SkewedFanout {
-            branches,
-            zipf_exponent,
-        } = self.workload
-        {
-            assert_eq!(
-                self.transport,
-                Transport::Inproc,
-                "skewed_fanout runs in-process only"
+        if self.transport == Transport::Tcp {
+            assert!(
+                self.rt.is_none(),
+                "config() cannot reach worker processes: TCP runs use the TcpProfile of the fault mode"
             );
             assert_eq!(
-                self.faults,
-                FaultMode::None,
-                "skewed_fanout does not compose with faults"
+                self.placement,
+                LivePlacement::ByLevel,
+                "placement() cannot reach worker processes: TCP runs use the by-level spread the worker tag encodes"
             );
-            let report = run_skewed_fanout(&SkewedFanoutConfig {
-                nodes: self.nodes,
+        }
+        if matches!(self.faults, FaultMode::NodeLoss | FaultMode::LiveMigration) {
+            assert!(
+                self.rt.is_none(),
+                "config() is not read by the orchestrated runners: node loss and live migration run the orchestrated config"
+            );
+        }
+        let bench = match self.workload {
+            Workload::SkewedFanout {
                 branches,
                 zipf_exponent,
-                requests: self.closed_loop_requests("skewed_fanout"),
-                payload_bytes: self.payload_bytes,
-                rt: self.rt.clone().unwrap_or_else(elastic_rt_config),
-                timeout: self.timeout,
-            });
-            return WorkloadReport::from_elastic(report, self.transport);
-        }
-        let Workload::Bench(bench) = self.workload else {
-            unreachable!("skewed fan-out handled above")
+            } => {
+                assert_eq!(
+                    self.transport,
+                    Transport::Inproc,
+                    "skewed_fanout runs in-process only"
+                );
+                assert_eq!(
+                    self.faults,
+                    FaultMode::None,
+                    "skewed_fanout does not compose with faults"
+                );
+                return WorkloadReport::from_elastic(
+                    run_skewed_fanout(self, branches, zipf_exponent),
+                    self.transport,
+                );
+            }
+            Workload::Bench(bench) => bench,
         };
         match self.faults {
             FaultMode::ChaosCrashRestart => {
-                let cfg = ChaosClusterConfig {
-                    nodes: self.nodes,
-                    requests: self.closed_loop_requests("chaos"),
-                    payload_bytes: self.payload_bytes,
-                    seed: self.seed,
-                    outage: self.outage,
-                    rt: self
-                        .rt
-                        .clone()
-                        .unwrap_or_else(|| crate::chaos::chaos_rt_config(self.seed)),
-                    timeout: self.timeout,
-                    crash_deadline: self.fault_deadline,
-                };
                 let report = match self.transport {
-                    Transport::Inproc => run_chaos_cluster(bench, &cfg),
-                    Transport::Tcp => run_chaos_cluster_tcp(bench, &cfg),
+                    Transport::Inproc => run_chaos_cluster(bench, self),
+                    Transport::Tcp => run_chaos_cluster_tcp(bench, self),
                 };
                 WorkloadReport {
                     scenario: format!("chaos_cluster/{}", report.benchmark),
@@ -385,22 +389,7 @@ impl WorkloadSpec {
                 }
             }
             FaultMode::NodeLoss => {
-                let report = run_node_loss(
-                    bench,
-                    &NodeLossConfig {
-                        transport: match self.transport {
-                            Transport::Inproc => NodeLossTransport::Inproc,
-                            Transport::Tcp => NodeLossTransport::Tcp,
-                        },
-                        nodes: self.nodes,
-                        requests: self.closed_loop_requests("node_loss"),
-                        payload_bytes: self.payload_bytes,
-                        seed: self.seed,
-                        timeout: self.timeout,
-                        kill_deadline: self.fault_deadline,
-                    },
-                );
-                WorkloadReport::from_node_loss("node_loss_relocation", report)
+                WorkloadReport::from_node_loss("node_loss_relocation", run_node_loss(bench, self))
             }
             FaultMode::LiveMigration => {
                 assert_eq!(
@@ -408,19 +397,7 @@ impl WorkloadSpec {
                     Transport::Inproc,
                     "live migration runs in-process only"
                 );
-                let report = run_live_migration(
-                    bench,
-                    &NodeLossConfig {
-                        transport: NodeLossTransport::Inproc,
-                        nodes: self.nodes,
-                        requests: self.closed_loop_requests("live_migration"),
-                        payload_bytes: self.payload_bytes,
-                        seed: self.seed,
-                        timeout: self.timeout,
-                        kill_deadline: self.fault_deadline,
-                    },
-                );
-                WorkloadReport::from_node_loss("live_migration", report)
+                WorkloadReport::from_node_loss("live_migration", run_live_migration(bench, self))
             }
             FaultMode::None => match &self.traffic {
                 Traffic::OpenLoop(spec) => {
@@ -445,43 +422,23 @@ impl WorkloadSpec {
                         detail: ReportDetail::OpenLoop(Box::new(report)),
                     }
                 }
-                Traffic::ClosedLoop { requests } => {
+                Traffic::ClosedLoop { .. } => {
                     if self.warmup_requests > 0 {
                         assert_eq!(
                             self.transport,
                             Transport::Inproc,
                             "the bursty (warmed-up) runner is in-process only"
                         );
-                        let report = run_bursty_cluster(
-                            bench,
-                            &BurstyClusterConfig {
-                                nodes: self.nodes,
-                                base_requests: self.warmup_requests,
-                                burst_requests: *requests,
-                                payload_bytes: self.payload_bytes,
-                                rt: self.rt.clone().unwrap_or_else(elastic_rt_config),
-                                timeout: self.timeout,
-                                settle: self.settle,
-                            },
+                        return WorkloadReport::from_elastic(
+                            run_bursty_cluster(bench, self),
+                            self.transport,
                         );
-                        return WorkloadReport::from_elastic(report, self.transport);
                     }
-                    let cfg = LiveClusterConfig {
-                        nodes: self.nodes,
-                        placement: self.placement,
-                        requests: *requests,
-                        payload_bytes: self.payload_bytes,
-                        rt: self.rt.clone().unwrap_or_default(),
-                        timeout: self.timeout,
-                    };
                     let report = match self.transport {
-                        Transport::Inproc => run_live_cluster_traced(
-                            bench,
-                            &cfg,
-                            self.placement.policy(),
-                            self.record_trace.as_deref(),
-                        ),
-                        Transport::Tcp => run_live_tcp(bench, &cfg, self.seed),
+                        Transport::Inproc => {
+                            run_live_cluster_traced(bench, self, self.placement.policy())
+                        }
+                        Transport::Tcp => run_live_tcp(bench, self),
                     };
                     WorkloadReport {
                         scenario: format!("live_cluster/{}", report.benchmark),
@@ -498,7 +455,8 @@ impl WorkloadSpec {
         }
     }
 
-    fn closed_loop_requests(&self, what: &str) -> usize {
+    /// The closed-loop request count (`what` names the runner asking).
+    pub(crate) fn closed_loop_requests(&self, what: &str) -> usize {
         match &self.traffic {
             Traffic::ClosedLoop { requests } => *requests,
             Traffic::OpenLoop(_) => {
@@ -675,6 +633,33 @@ mod tests {
     #[should_panic(expected = "tenants() requires open-loop traffic")]
     fn tenants_on_closed_loop_traffic_panics() {
         let _ = WorkloadSpec::new().requests(1).tenants(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "config() cannot reach worker processes")]
+    fn config_override_over_tcp_panics() {
+        let _ = WorkloadSpec::new()
+            .transport(Transport::Tcp)
+            .config(ClusterConfig::default())
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "placement() cannot reach worker processes")]
+    fn placement_override_over_tcp_panics() {
+        let _ = WorkloadSpec::new()
+            .transport(Transport::Tcp)
+            .placement(LivePlacement::RoundRobin)
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "config() is not read by the orchestrated runners")]
+    fn config_override_on_node_loss_panics() {
+        let _ = WorkloadSpec::new()
+            .faults(FaultMode::NodeLoss)
+            .config(ClusterConfig::default())
+            .run();
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! right ballpark (img ≈ 4 s, vid ≈ 8 s, svd ≈ 6 s, wc ≲ 1 s band).
 
 use dataflower_baselines::{ControlFlowConfig, ControlFlowEngine};
-use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+use dataflower_cluster::{run_to_idle, SpreadPlacement, TestbedConfig, World};
 use dataflower_sim::SimTime;
 use dataflower_workloads::Benchmark;
 
 /// Runs one solo request under the centralized orchestrator; returns
 /// (comm share of comm+comp, mean end-to-end seconds).
 fn characterize(b: Benchmark) -> (f64, f64) {
-    let mut world = World::new(ClusterConfig::default().with_seed(1));
+    let mut world = World::new(TestbedConfig::default().with_seed(1));
     let id = world.add_workflow(b.workflow());
     // A few sequential solo requests (warm after the first).
     for i in 0..3 {

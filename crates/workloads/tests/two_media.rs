@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use dataflower_rt::{
     worker_env, Bytes, ClusterConfig, ClusterRuntime, ClusterRuntimeBuilder, LinkConfig, Placement,
-    ReqId, RtConfig, RtError, RtStats, TcpCluster,
+    ReqId, RtError, RtStats, TcpCluster,
 };
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder};
 
@@ -69,12 +69,11 @@ fn placement() -> Placement {
 /// Recovery on (so every cross-endpoint transfer is retained and acked)
 /// and a janitor TTL the test can wait out.
 fn config() -> ClusterConfig {
-    ClusterConfig::new()
-        .node(RtConfig {
-            sink_ttl: Some(SINK_TTL),
-            ..RtConfig::default()
-        })
-        .recovery(RETRANSMIT)
+    ClusterConfig {
+        sink_ttl: Some(SINK_TTL),
+        recovery: Some(RETRANSMIT),
+        ..ClusterConfig::default()
+    }
 }
 
 fn builder() -> ClusterRuntimeBuilder {
@@ -337,8 +336,8 @@ fn main() {
     dead_node_never_blocks_release("inproc", &inproc);
     inproc.shutdown();
 
-    let tcp = TcpCluster::launch(workflow(), placement(), config().build(), TAG)
-        .expect("launch TCP cluster");
+    let tcp =
+        TcpCluster::launch(workflow(), placement(), config(), TAG).expect("launch TCP cluster");
     let b = contract("tcp", &tcp, foreign);
     let stats = tcp.stats();
     dead_node_never_blocks_release("tcp", &tcp);

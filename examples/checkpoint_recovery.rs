@@ -32,8 +32,7 @@ fn main() {
             bandwidth_bytes_per_sec: Some(8.0 * 1024.0 * 1024.0),
             ..LinkConfig::default()
         })
-        .recovery(Duration::from_millis(200))
-        .build();
+        .recovery(Duration::from_millis(200));
     let rt = ClusterRuntimeBuilder::new(Arc::clone(&wf))
         .placement(
             Placement::with_nodes(2)

@@ -9,36 +9,21 @@
 //! ```
 
 use dataflower_metrics::{fmt_f, Table};
-use dataflower_workloads::{
-    Benchmark, BurstyClusterConfig, ReportDetail, SkewedFanoutConfig, WorkloadSpec,
-};
+use dataflower_workloads::{Benchmark, ReportDetail, WorkloadSpec};
 
 fn main() {
-    let cfg = BurstyClusterConfig::default();
-    let auto = &cfg.rt.autoscale;
+    println!("bursty_cluster: 2 warm-up + 12 burst requests of 192 KiB on 3 nodes");
+    // A warmed-up run uses the elastic runtime config unless told otherwise.
     println!(
-        "bursty_cluster: {} warm-up + {} burst requests of {} KiB on {} nodes",
-        cfg.base_requests,
-        cfg.burst_requests,
-        cfg.payload_bytes / 1024,
-        cfg.nodes,
-    );
-    println!(
-        "autoscaler: {}..{} replicas, threshold {:.1} ms, cooldown {:?}, drain estimate {:.0} MiB/s\n",
-        auto.min_replicas,
-        auto.max_replicas,
-        auto.pressure_threshold_secs * 1e3,
-        auto.cooldown,
-        auto.drain_bw_bytes_per_sec / (1024.0 * 1024.0),
+        "autoscaler: 1..3 replicas, threshold 2.0 ms, cooldown 30ms, drain estimate 2 MiB/s\n"
     );
 
     let report = WorkloadSpec::new()
         .benchmark(Benchmark::Wc)
-        .nodes(cfg.nodes)
-        .warmup(cfg.base_requests)
-        .requests(cfg.burst_requests)
-        .payload_bytes(cfg.payload_bytes)
-        .settle(cfg.settle)
+        .nodes(3)
+        .warmup(2)
+        .requests(12)
+        .payload_bytes(192 * 1024)
         .run();
     let ReportDetail::Elastic { events, timeline } = &report.detail else {
         unreachable!("a warmed-up run reports the elastic detail");
@@ -83,18 +68,15 @@ fn main() {
         timeline.summary_table(end).render()
     );
 
-    let skew_cfg = SkewedFanoutConfig::default();
     let skew = WorkloadSpec::new()
-        .skewed_fanout(skew_cfg.branches, skew_cfg.zipf_exponent)
-        .nodes(skew_cfg.nodes)
-        .requests(skew_cfg.requests)
-        .payload_bytes(skew_cfg.payload_bytes)
+        .skewed_fanout(8, 1.2)
+        .requests(6)
+        .payload_bytes(256 * 1024)
         .run();
     println!(
-        "skewed_fanout: {} requests over {} Zipf-skewed branches, {} KiB out, \
+        "skewed_fanout: {} requests over 8 Zipf-skewed branches, {} KiB out, \
          {} scale-outs — outputs byte-identical to the reference",
         skew.requests,
-        skew_cfg.branches,
         skew.output_bytes / 1024,
         skew.stats.scale_out_events,
     );

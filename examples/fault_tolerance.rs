@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use dataflower::{CheckpointSchedule, DataFlowerConfig, DataFlowerEngine};
-use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+use dataflower_cluster::{run_to_idle, SpreadPlacement, TestbedConfig, World};
 use dataflower_sim::SimTime;
 use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder, MB};
 
@@ -39,7 +39,7 @@ fn main() {
 
     // Clean run for reference.
     let clean = {
-        let mut world = World::new(ClusterConfig::default());
+        let mut world = World::new(TestbedConfig::default());
         let id = world.add_workflow(Arc::clone(&wf));
         world.submit_request(id, 4.0 * MB, SimTime::ZERO);
         let mut engine = DataFlowerEngine::new(DataFlowerConfig::default(), SpreadPlacement);
@@ -50,7 +50,7 @@ fn main() {
     };
 
     // Faulted run: transform's data plane is interrupted once.
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let id = world.add_workflow(Arc::clone(&wf));
     let req = world.submit_request(id, 4.0 * MB, SimTime::ZERO);
     let mut engine = DataFlowerEngine::new(DataFlowerConfig::default(), SpreadPlacement);

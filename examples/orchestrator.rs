@@ -53,8 +53,7 @@ fn main() {
             ..LinkConfig::default()
         })
         .recovery(Duration::from_millis(50))
-        .heartbeat(Duration::from_millis(10), 3)
-        .build();
+        .heartbeat(Duration::from_millis(10), 3);
 
     let mut builder = ClusterRuntimeBuilder::new(Arc::clone(&wf))
         .policy(ByLevel, 3)

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use dataflower::{DataFlowerConfig, DataFlowerEngine};
-use dataflower_cluster::{run_to_idle, ClusterConfig, SpreadPlacement, World};
+use dataflower_cluster::{run_to_idle, SpreadPlacement, TestbedConfig, World};
 use dataflower_sim::SimTime;
 use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder, WorkflowSpec, MB};
 
@@ -35,7 +35,7 @@ fn main() {
 
     // 2. Build a world (3 workers + storage/broker node, paper §9.1
     //    defaults) and submit a few requests.
-    let mut world = World::new(ClusterConfig::default());
+    let mut world = World::new(TestbedConfig::default());
     let id = world.add_workflow(Arc::clone(&wf));
     for i in 0..5 {
         world.submit_request(id, 2.0 * MB, SimTime::from_secs(2 * i));

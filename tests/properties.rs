@@ -409,7 +409,7 @@ fn remote_chunking_reassembles_byte_identical() {
 /// counters account for every inter-function edge exactly once.
 #[test]
 fn multinode_fabric_loses_nothing_under_random_placements() {
-    use dataflower_rt::{Bytes, ClusterRtConfig, ClusterRuntimeBuilder, Placement, RtConfig};
+    use dataflower_rt::{Bytes, ClusterConfig, ClusterRuntimeBuilder, Placement};
     check(
         "multinode_fabric_loses_nothing_under_random_placements",
         |g| {
@@ -450,14 +450,11 @@ fn multinode_fabric_loses_nothing_under_random_placements() {
             let fan_c = fan;
             let mut builder = ClusterRuntimeBuilder::new(std::sync::Arc::clone(&wf))
                 .placement(placement)
-                .config(ClusterRtConfig {
-                    rt: RtConfig {
-                        dlu_queue_capacity: g.usize_in(1, 8),
-                        ..RtConfig::default()
-                    },
+                .config(ClusterConfig {
+                    dlu_queue_capacity: g.usize_in(1, 8),
                     direct_threshold_bytes: threshold,
                     chunk_bytes,
-                    ..ClusterRtConfig::default()
+                    ..ClusterConfig::default()
                 })
                 .register("start", move |ctx| {
                     let data = ctx.input("in").expect("client payload").clone();
@@ -607,8 +604,7 @@ fn autoscaler_monotone_pressure_ramp_triggers_scale_out() {
 #[test]
 fn live_outputs_byte_identical_under_random_scaling() {
     use dataflower_rt::{
-        AutoscaleConfig, Bytes, ClusterRtConfig, ClusterRuntimeBuilder, LoadAware, PlacementPolicy,
-        RtConfig,
+        AutoscaleConfig, Bytes, ClusterConfig, ClusterRuntimeBuilder, LoadAware, PlacementPolicy,
     };
     check("live_outputs_byte_identical_under_random_scaling", |g| {
         let fan = g.usize_in(1, 4);
@@ -653,14 +649,11 @@ fn live_outputs_byte_identical_under_random_scaling() {
         let fan_c = fan;
         let mut builder = ClusterRuntimeBuilder::new(std::sync::Arc::clone(&wf))
             .placement(LoadAware::idle().initial(&wf, nodes))
-            .config(ClusterRtConfig {
-                rt: RtConfig {
-                    dlu_queue_capacity: g.usize_in(1, 8),
-                    ..RtConfig::default()
-                },
+            .config(ClusterConfig {
+                dlu_queue_capacity: g.usize_in(1, 8),
                 chunk_bytes: g.usize_in(256, 4096),
                 autoscale,
-                ..ClusterRtConfig::default()
+                ..ClusterConfig::default()
             })
             .register("start", move |ctx| {
                 let data = ctx.input("in").expect("client payload").clone();
@@ -915,8 +908,8 @@ fn chaos_recovery_is_byte_identical_and_exactly_once_for_every_placement() {
     use std::time::Duration;
 
     use dataflower_rt::{
-        ByLevel, Bytes, ClusterRtConfig, ClusterRuntimeBuilder, FaultPlan, LinkConfig, LoadAware,
-        PlacementPolicy, RecoveryConfig, RoundRobin, RtConfig, SingleNode,
+        ByLevel, Bytes, ClusterConfig, ClusterRuntimeBuilder, FaultPlan, LinkConfig, LoadAware,
+        PlacementPolicy, RoundRobin, SingleNode,
     };
 
     check(
@@ -962,11 +955,8 @@ fn chaos_recovery_is_byte_identical_and_exactly_once_for_every_placement() {
                     g.u64_in(1, 50),
                     Duration::from_millis(g.u64_in(1, 6)),
                 );
-            let cfg = ClusterRtConfig {
-                rt: RtConfig {
-                    dlu_queue_capacity: g.usize_in(1, 8),
-                    ..RtConfig::default()
-                },
+            let cfg = ClusterConfig {
+                dlu_queue_capacity: g.usize_in(1, 8),
                 // Force even tiny shards through the chunked remote pipe
                 // with marks every few chunks.
                 direct_threshold_bytes: 1,
@@ -976,12 +966,9 @@ fn chaos_recovery_is_byte_identical_and_exactly_once_for_every_placement() {
                     queue_capacity: g.usize_in(2, 64),
                     ..LinkConfig::default()
                 },
-                recovery: RecoveryConfig {
-                    enabled: true,
-                    retransmit_timeout: Duration::from_millis(20),
-                },
+                recovery: Some(Duration::from_millis(20)),
                 faults,
-                ..ClusterRtConfig::default()
+                ..ClusterConfig::default()
             };
 
             // Every placement policy, same workflow, same chaos plan.
@@ -1116,8 +1103,7 @@ fn node_loss_relocation_is_byte_identical_under_random_placements() {
                     ..LinkConfig::default()
                 })
                 .recovery(Duration::from_millis(20))
-                .heartbeat(Duration::from_millis(4), 2)
-                .build();
+                .heartbeat(Duration::from_millis(4), 2);
 
             let victim = g.usize_in(0, nodes);
             let crash_after = Duration::from_micros(g.u64_in(0, 4_000));
