@@ -834,11 +834,12 @@ fn data_plane_benchmarks(h: &Harness) {
 
     // An 8 MiB remote-pipe transfer in 64 KiB chunks (128 frames — one
     // full default link queue), send side + receive side: frames are
-    // staged like the link queue holds them, then reassembled. `copy` is
-    // the pre-change path: every staged frame is a freshly copied
-    // sub-buffer, memcpy'd again into the reassembly buffer. `zero_copy`
-    // stages refcounted `Bytes::slice` views instead — the payload is
-    // touched once.
+    // staged like the link queue holds them, then reassembled.
+    // `zero_copy` is the in-process fabric: refcounted `Bytes::slice`
+    // views, rejoined by the reassembler — the payload is never touched.
+    // `copy` is the comparator and the TCP-shaped fallback: every staged
+    // frame is an allocation of its own (as the wire decoder makes them),
+    // memcpy'd once more into the reassembly buffer.
     const XFER_BYTES: usize = 8 * 1024 * 1024;
     const XFER_CHUNK: usize = 64 * 1024;
     let payload = Bytes::from((0..XFER_BYTES).map(|i| i as u8).collect::<Vec<_>>());
@@ -864,7 +865,7 @@ fn data_plane_benchmarks(h: &Harness) {
         h.run("data_plane", "remote_pipe_8mib/copy", move || {
             let frames: Vec<(usize, Vec<u8>)> = chunk_spans(payload.len(), XFER_CHUNK)
                 .into_iter()
-                .map(|(lo, hi)| (lo, payload[lo..hi].to_vec())) // pre-change copies
+                .map(|(lo, hi)| (lo, payload[lo..hi].to_vec())) // one allocation per frame
                 .collect();
             let mut r = Reassembler::new(payload.len());
             for (lo, frame) in frames {

@@ -1,12 +1,14 @@
 //! Cheap-to-clone immutable byte buffers with zero-copy slicing.
 //!
 //! A std-only stand-in for the `bytes` crate: a [`Bytes`] value is a
-//! `(allocation, offset, len)` view over either an `Arc<[u8]>` or a
+//! `(allocation, offset, len)` view over either a shared `Vec<u8>` or a
 //! `&'static [u8]`, so cloning it for every output edge a payload fans
 //! out to is a reference-count bump (or a pointer copy), never a byte
 //! copy — and [`Bytes::slice`] carves O(1) sub-views that share the
 //! parent allocation, which is what lets the fabric ship chunk frames
-//! without copying the payload per chunk.
+//! without copying the payload per chunk. `Bytes::from(Vec<u8>)` adopts
+//! the vector's allocation as it is; [`Bytes::copy_from_slice`] is the
+//! one constructor that copies.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -16,8 +18,9 @@ use std::sync::Arc;
 /// The backing storage of a [`Bytes`] view.
 #[derive(Clone)]
 enum Repr {
-    /// A shared heap allocation; clones bump the refcount.
-    Shared(Arc<[u8]>),
+    /// A shared heap allocation — the `Vec` a payload was built in,
+    /// adopted as it is; clones bump the refcount.
+    Shared(Arc<Vec<u8>>),
     /// A `'static` slice; clones copy the pointer, never the bytes.
     Static(&'static [u8]),
 }
@@ -74,7 +77,7 @@ impl Bytes {
     pub fn copy_from_slice(bytes: &[u8]) -> Bytes {
         Bytes {
             len: bytes.len(),
-            repr: Repr::Shared(Arc::from(bytes)),
+            repr: Repr::Shared(Arc::new(bytes.to_vec())),
             offset: 0,
         }
     }
@@ -86,10 +89,11 @@ impl Bytes {
 
     /// Returns a payload that does not pin substantially more memory
     /// than it shows: when this view covers less than half of its
-    /// (heap) backing allocation, the visible bytes are copied into a
-    /// tight new allocation and the parent is released; otherwise the
-    /// view is returned as-is. Views of `'static` data never compact —
-    /// they pin nothing.
+    /// (heap) backing allocation — its *capacity*, since an adopted
+    /// `Vec` pins all of it — the visible bytes are copied into a tight
+    /// new allocation and the parent is released; otherwise the view is
+    /// returned as-is. Views of `'static` data never compact — they pin
+    /// nothing.
     ///
     /// The runtime calls this before *parking* a payload in a data sink:
     /// zero-copy slices are free while data is in flight, but a 1 KiB
@@ -109,7 +113,7 @@ impl Bytes {
     pub fn compact(self) -> Bytes {
         match &self.repr {
             Repr::Static(_) => self,
-            Repr::Shared(alloc) if self.len * 2 >= alloc.len() => self,
+            Repr::Shared(alloc) if self.len * 2 >= alloc.capacity() => self,
             Repr::Shared(_) => Bytes::copy_from_slice(&self),
         }
     }
@@ -161,6 +165,26 @@ impl Bytes {
             len: hi - lo,
         }
     }
+
+    /// Extends this view over `next` in O(1) when `next` is a view of the
+    /// *same* allocation starting exactly where this one ends — the
+    /// inverse of [`Bytes::slice`], which is how the [`Reassembler`]
+    /// puts the chunk views of one payload back together without a copy.
+    /// Returns `false`, changing nothing, for any other `next`.
+    ///
+    /// [`Reassembler`]: crate::Reassembler
+    pub(crate) fn try_join(&mut self, next: &Bytes) -> bool {
+        let same_alloc = match (&self.repr, &next.repr) {
+            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            (Repr::Static(a), Repr::Static(b)) => std::ptr::eq(*a, *b),
+            _ => false,
+        };
+        let adjacent = same_alloc && next.offset == self.offset + self.len;
+        if adjacent {
+            self.len += next.len;
+        }
+        adjacent
+    }
 }
 
 impl Default for Bytes {
@@ -183,10 +207,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Adopts `v`'s allocation: one `Arc::new`, no byte is copied.
     fn from(v: Vec<u8>) -> Bytes {
         Bytes {
             len: v.len(),
-            repr: Repr::Shared(Arc::from(v)),
+            repr: Repr::Shared(Arc::new(v)),
             offset: 0,
         }
     }
@@ -251,6 +276,47 @@ mod tests {
         let a = Bytes::from(vec![1u8, 2, 3]);
         let b = a.clone();
         assert!(std::ptr::eq(a.as_ref(), b.as_ref()));
+    }
+
+    #[test]
+    fn from_vec_adopts_the_allocation() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), ptr);
+    }
+
+    #[test]
+    fn compact_measures_an_adopted_vec_by_its_capacity() {
+        let mut v = Vec::with_capacity(1 << 20);
+        v.extend_from_slice(&[3u8; 10]);
+        let ptr = v.as_ptr();
+        let parked = Bytes::from(v).compact();
+        assert_eq!(&*parked, &[3u8; 10]);
+        assert_ne!(parked.as_ptr(), ptr, "10 bytes must not pin 1 MiB");
+        // A tight Vec is left alone.
+        let v = vec![3u8; 10];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).compact().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn try_join_rejoins_adjacent_views_of_one_allocation_only() {
+        let a = Bytes::from((0..100u8).collect::<Vec<_>>());
+        let mut head = a.slice(10..40);
+        assert!(!head.try_join(&a.slice(41..50)), "gap");
+        assert!(!head.try_join(&a.slice(30..50)), "overlap");
+        assert!(!head.try_join(&Bytes::copy_from_slice(&a[40..50])), "copy");
+        assert_eq!(head.len(), 30, "a refused join changes nothing");
+        assert!(head.try_join(&a.slice(40..50)));
+        assert!(head.try_join(&a.slice(50..50)), "empty neighbour");
+        assert!(std::ptr::eq(head.as_ref(), &a[10..50]));
+        // Static data joins by the same rule; static never joins heap.
+        static S: [u8; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+        let s = Bytes::from_static(&S);
+        let mut head = s.slice(..4);
+        assert!(!head.try_join(&Bytes::copy_from_slice(&S[4..])));
+        assert!(head.try_join(&s.slice(4..)));
+        assert_eq!(&*head, &S);
     }
 
     #[test]

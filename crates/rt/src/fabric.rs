@@ -17,8 +17,10 @@
 //! Transfers routed through the **streaming remote pipe** are cut into
 //! chunks by [`chunk_spans`]; each chunk frame carries a zero-copy
 //! [`Bytes`] view into the payload (no per-chunk copy on send), and the
-//! destination [`Reassembler`] adopts a single-chunk transfer whole
-//! without a memcpy. Checkpoint marks along the stream follow the
+//! destination [`Reassembler`] rejoins views that arrive in order from
+//! one allocation — every in-process transfer — without a memcpy; it
+//! copy-assembles only what cannot be joined (TCP chunks, a gap after a
+//! lost frame). Checkpoint marks along the stream follow the
 //! [`CheckpointSchedule`](dataflower::CheckpointSchedule) of the engine
 //! crate, so the live runtime and the simulator share one fault-recovery
 //! model: with recovery enabled, the sender retains refcounted views of
@@ -43,7 +45,8 @@
 //!     r.write_bytes(lo, payload.slice(lo..hi));
 //! }
 //! assert!(r.complete());
-//! assert_eq!(r.into_bytes(), payload);
+//! // In-order views of one allocation are rejoined, not copied.
+//! assert_eq!(r.into_bytes().as_ptr(), payload.as_ptr());
 //! ```
 //!
 //! A crash mid-transfer rolls reassembly back to the last checkpoint
@@ -229,12 +232,14 @@ pub fn chunk_spans(total: usize, chunk_bytes: usize) -> Vec<(usize, usize)> {
 /// written exactly once. [`Reassembler::complete`] reports when every
 /// byte of the announced total has arrived.
 ///
-/// A transfer whose first chunk covers the whole announced total is
-/// **adopted without a copy**: [`Reassembler::write_bytes`] keeps the
-/// incoming [`Bytes`] view and [`Reassembler::into_bytes`] hands it back
-/// as-is — the single-chunk fast path of the zero-copy data plane. The
-/// assembly buffer is only allocated when a genuinely partial chunk
-/// arrives.
+/// A transfer whose chunks are views of one allocation arriving in
+/// order — one chunk or many — is **adopted without a copy**:
+/// [`Reassembler::write_bytes`] keeps chunk 0's [`Bytes`] view, extends
+/// it over each adjacent neighbour, and [`Reassembler::into_bytes`] hands
+/// the rejoined view back. The assembly buffer is only allocated when a
+/// chunk cannot be joined (another allocation, a gap, a partial overlap);
+/// the adopted prefix is then copied into it once and assembly continues
+/// by copy.
 ///
 /// # Examples
 ///
@@ -253,10 +258,13 @@ pub fn chunk_spans(total: usize, chunk_bytes: usize) -> Vec<(usize, usize)> {
 pub struct Reassembler {
     /// Announced transfer size.
     total: usize,
-    /// A whole-payload chunk adopted without copying (single-chunk fast
-    /// path); later duplicate writes are retransmissions and ignored.
-    whole: Option<Bytes>,
-    /// Copy-assembly buffer, allocated lazily on the first partial chunk.
+    /// The contiguous prefix `0..view.len()` adopted without copying:
+    /// chunk 0's view, extended over each in-order neighbour from the
+    /// same allocation. While it is `Some`, `buf` and `covered` are
+    /// empty; a chunk that cannot be joined demotes it into `buf`.
+    view: Option<Bytes>,
+    /// Copy-assembly buffer, allocated lazily on the first chunk that
+    /// cannot be joined.
     buf: Vec<u8>,
     /// Disjoint, sorted, merged byte ranges written so far. Coverage is
     /// tracked positionally (not as a byte count) so duplicated or
@@ -268,14 +276,20 @@ pub struct Reassembler {
 
 impl Reassembler {
     /// Prepares to receive a transfer of `total` bytes. No buffer is
-    /// allocated yet: a single-chunk transfer is adopted without one.
+    /// allocated yet: in-order views of one allocation need none.
     pub fn new(total: usize) -> Reassembler {
         Reassembler {
             total,
-            whole: None,
+            view: None,
             buf: Vec::new(),
             covered: Vec::new(),
         }
+    }
+
+    /// Where a chunk of `len` bytes at `offset` ends — `None` when it
+    /// would overrun the announced total.
+    fn end_of(&self, offset: usize, len: usize) -> Option<usize> {
+        offset.checked_add(len).filter(|&end| end <= self.total)
     }
 
     /// Copies one chunk into place. Re-writing already-covered positions
@@ -284,16 +298,17 @@ impl Reassembler {
     /// Returns `false` (ignoring the chunk) if it would overrun the
     /// announced total; a well-behaved sender never triggers this.
     pub fn write(&mut self, offset: usize, chunk: &[u8]) -> bool {
-        let Some(end) = offset.checked_add(chunk.len()) else {
+        let Some(end) = self.end_of(offset, chunk.len()) else {
             return false;
         };
-        if end > self.total {
-            return false;
-        }
-        if self.whole.is_some() {
-            // Already adopted whole: any in-range write is a
-            // retransmission of bytes we have.
+        if self.view.as_ref().is_some_and(|v| end <= v.len()) {
+            // Wholly inside the adopted prefix: a retransmission.
             return true;
+        }
+        if let Some(v) = self.view.take() {
+            // Not joinable: demote the adopted prefix into the copy
+            // buffer, once, and carry on by copy.
+            self.write(0, &v);
         }
         if self.buf.capacity() == 0 {
             // One exact allocation, *not* zero-filled: the buffer grows
@@ -319,20 +334,21 @@ impl Reassembler {
         true
     }
 
-    /// Writes one chunk that arrived as an owned [`Bytes`] view. When the
-    /// chunk is the **entire** announced payload and nothing was written
-    /// yet, the view is adopted as-is — zero copies, zero allocation.
-    /// Otherwise this falls back to [`Reassembler::write`].
+    /// Writes one chunk that arrived as an owned [`Bytes`] view. Chunk 0
+    /// of an untouched transfer is adopted as-is, and a chunk that is a
+    /// view of the same allocation starting exactly at the adopted
+    /// prefix's end extends it — zero copies, zero allocation. Anything
+    /// else falls back to [`Reassembler::write`].
     pub fn write_bytes(&mut self, offset: usize, chunk: Bytes) -> bool {
-        if offset == 0
-            && chunk.len() == self.total
-            && self.whole.is_none()
-            && self.covered.is_empty()
-        {
-            self.whole = Some(chunk);
+        if self.end_of(offset, chunk.len()).is_none() {
+            return false;
+        }
+        if offset == 0 && self.view.is_none() && self.covered.is_empty() {
+            self.view = Some(chunk);
             return true;
         }
-        self.write(offset, &chunk)
+        let joined = |v: &mut Bytes| offset == v.len() && v.try_join(&chunk);
+        self.view.as_mut().is_some_and(joined) || self.write(offset, &chunk)
     }
 
     /// Merges `[lo, hi)` into the covered-interval set.
@@ -354,24 +370,22 @@ impl Reassembler {
 
     /// True once every byte of the announced total has been written.
     pub fn complete(&self) -> bool {
-        self.total == 0 || self.whole.is_some() || self.covered == [(0, self.total)]
+        self.contiguous_prefix() == self.total
     }
 
-    /// The reassembled payload: the adopted whole-payload view when the
-    /// single-chunk fast path hit, otherwise the assembly buffer.
+    /// The reassembled payload: the rejoined view when every chunk could
+    /// be adopted, otherwise the assembly buffer (itself adopted by the
+    /// returned [`Bytes`], not copied again).
     pub fn into_bytes(self) -> Bytes {
-        match self.whole {
-            Some(b) => b,
-            None => Bytes::from(self.buf),
-        }
+        self.view.unwrap_or_else(|| Bytes::from(self.buf))
     }
 
     /// Length of the contiguous prefix written so far: the largest `p`
     /// such that every byte of `0..p` has arrived. This is the progress
     /// figure the §6.2 ack protocol quantizes into checkpoint marks.
     pub fn contiguous_prefix(&self) -> usize {
-        if self.whole.is_some() {
-            return self.total;
+        if let Some(v) = &self.view {
+            return v.len();
         }
         match self.covered.first() {
             Some(&(0, hi)) => hi,
@@ -406,17 +420,10 @@ impl Reassembler {
         if keep == self.total {
             return;
         }
-        if let Some(w) = self.whole.take() {
-            // Demote the adopted whole-payload view to a copied prefix;
-            // keep the buffer exact-sized so replay appends never
-            // reallocate.
-            self.buf = Vec::new();
-            self.buf.reserve_exact(self.total);
-            self.buf.extend_from_slice(&w[..keep]);
-            self.covered.clear();
-            if keep > 0 {
-                self.covered.push((0, keep));
-            }
+        if let Some(v) = &mut self.view {
+            // Still a view of the sender's allocation: the replay (the
+            // same views, out of retention) rejoins it from the mark.
+            *v = v.slice(..keep.min(v.len()));
             return;
         }
         self.buf.truncate(keep);
@@ -862,12 +869,55 @@ mod tests {
     #[test]
     fn partial_bytes_chunks_fall_back_to_copy_assembly() {
         let payload = Bytes::from((0..50u8).collect::<Vec<_>>());
+        let spans = chunk_spans(payload.len(), 16);
+        // In-order views of one allocation are rejoined, not copied...
         let mut r = Reassembler::new(payload.len());
-        for (lo, hi) in chunk_spans(payload.len(), 16) {
+        for &(lo, hi) in &spans {
+            assert!(!r.complete());
             assert!(r.write_bytes(lo, payload.slice(lo..hi)));
+            assert_eq!(r.contiguous_prefix(), hi);
         }
         assert!(r.complete());
-        assert_eq!(&*r.into_bytes(), &*payload);
+        assert!(std::ptr::eq(r.into_bytes().as_ref(), payload.as_ref()));
+        // ...a chunk from another allocation (every TCP chunk), a gap
+        // and a partial overlap each demote the prefix to copy assembly.
+        let foreign = |lo, hi| Bytes::copy_from_slice(&payload[lo..hi]);
+        let view = |lo, hi| payload.slice(lo..hi);
+        type Chunks = Vec<(usize, Bytes)>;
+        let cases: [(&str, Chunks); 3] = [
+            (
+                "foreign",
+                spans
+                    .iter()
+                    .map(|&(lo, hi)| (lo, foreign(lo, hi)))
+                    .collect(),
+            ),
+            (
+                "gap",
+                vec![(0, view(0, 16)), (32, view(32, 50)), (16, view(16, 32))],
+            ),
+            (
+                "overlap",
+                vec![(0, view(0, 16)), (8, view(8, 40)), (40, view(40, 50))],
+            ),
+        ];
+        for (what, chunks) in cases {
+            let mut r = Reassembler::new(payload.len());
+            for (lo, chunk) in chunks {
+                assert!(!r.complete(), "{what}");
+                assert!(r.write_bytes(lo, chunk), "{what}");
+            }
+            assert!(r.complete(), "{what}");
+            let out = r.into_bytes();
+            assert_eq!(out, payload, "{what}");
+            assert_ne!(out.as_ptr(), payload.as_ptr(), "{what}");
+        }
+        // An overrunning view is refused in either state.
+        let mut r = Reassembler::new(40);
+        assert!(!r.write_bytes(0, view(0, 50)));
+        assert!(r.write_bytes(0, view(0, 16)));
+        assert!(!r.write_bytes(16, view(16, 50)));
+        assert_eq!(r.contiguous_prefix(), 16);
     }
 
     #[test]
@@ -907,6 +957,18 @@ mod tests {
         r.rollback_to(16);
         assert!(!r.complete());
         assert_eq!(r.contiguous_prefix(), 16);
+        // The kept prefix is still a view: replaying the sender's
+        // retained views from the mark rejoins it without a copy...
+        assert!(r.write_bytes(8, payload.slice(8..16)), "below the mark");
+        assert!(r.write_bytes(16, payload.slice(16..40)));
+        assert!(r.write_bytes(40, payload.slice(40..)));
+        assert!(r.complete());
+        assert!(std::ptr::eq(r.into_bytes().as_ref(), payload.as_ref()));
+        // ...and a replay that arrives as plain bytes demotes it to a
+        // copied prefix and completes by copy.
+        let mut r = Reassembler::new(payload.len());
+        assert!(r.write_bytes(0, payload.clone()));
+        r.rollback_to(16);
         r.write(16, &payload[16..]);
         assert!(r.complete());
         assert_eq!(&*r.into_bytes(), &*payload);

@@ -2119,8 +2119,8 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                     .partial
                     .entry((edge, transfer))
                     .or_insert_with(|| crate::fabric::Reassembler::new(total));
-                // Zero-copy fast path: a chunk covering the whole
-                // transfer is adopted without a memcpy.
+                // Zero-copy fast path: in-order views of one
+                // allocation are rejoined without a memcpy.
                 r.write_bytes(offset, bytes);
                 if r.complete() {
                     rs.done.insert((edge, transfer));

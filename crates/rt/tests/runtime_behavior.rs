@@ -915,3 +915,54 @@ fn duplicated_final_chunk_leaves_no_ghost_reassembler() {
     assert_retention_drains(&rt);
     rt.shutdown();
 }
+
+#[test]
+fn remote_pipe_hands_over_the_producers_allocation_in_process() {
+    // 512 KiB over the streaming remote pipe at the default 64 KiB chunks
+    // and 256 KiB checkpoint interval (8 chunks, 2 marks), recovery on so
+    // the sender retains its views: the consumer on the other node must
+    // see the very bytes the producer put — rejoined, never copied.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const LEN: usize = 512 * 1024;
+    let mut b = WorkflowBuilder::new("handoff");
+    let src = b.function("src", WorkModel::fixed(0.001));
+    let dst = b.function("dst", WorkModel::fixed(0.001));
+    b.client_input(src, "in", SizeModel::Fixed(8.0));
+    b.edge(src, dst, "big", SizeModel::Fixed(LEN as f64));
+    b.client_output(dst, "out", SizeModel::Fixed(8.0));
+    let wf = Arc::new(b.build().unwrap());
+
+    let produced = Arc::new(AtomicUsize::new(0));
+    let consumed = Arc::new(AtomicUsize::new(0));
+    let (produced_by_src, consumed_by_dst) = (Arc::clone(&produced), Arc::clone(&consumed));
+    let rt = ClusterRuntimeBuilder::new(wf)
+        .placement(Placement::with_nodes(2).assign("src", 0).assign("dst", 1))
+        .config(ClusterConfig::default().recovery(Duration::from_millis(50)))
+        .register("src", move |ctx| {
+            let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+            produced_by_src.store(payload.as_ptr() as usize, Ordering::SeqCst);
+            ctx.put("big", payload);
+        })
+        .register("dst", move |ctx| {
+            let big = ctx.input("big").unwrap();
+            assert_eq!(big.len(), LEN);
+            assert!(big.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
+            consumed_by_dst.store(big.as_ptr() as usize, Ordering::SeqCst);
+            ctx.put("out", Bytes::from_static(b"done"));
+        })
+        .start()
+        .unwrap();
+    let req = rt.invoke(vec![("in".into(), Bytes::from_static(b"x"))]);
+    rt.wait(req, Duration::from_secs(30)).unwrap();
+    let stats = rt.stats();
+    rt.shutdown();
+    assert_eq!(stats.remote_pipe_transfers, 1);
+    assert_eq!(stats.remote_chunks, 8);
+    assert_eq!(stats.remote_checkpoints, 2);
+    assert_ne!(produced.load(Ordering::SeqCst), 0);
+    assert_eq!(
+        consumed.load(Ordering::SeqCst),
+        produced.load(Ordering::SeqCst),
+        "the consumer's input is not the producer's allocation"
+    );
+}

@@ -7,7 +7,8 @@
 //!
 //! * a client output of more than 64 KiB with recovery on (over TCP that
 //!   is the chunked client-output path: reassembly and checkpoint-mark
-//!   acks on the coordinator) is byte-identical on both media;
+//!   acks on the coordinator) is byte-identical on both media, and so is
+//!   a two-chunk one over TCP (the reassembler's copy fallback);
 //! * an unknown input name faults the request, a foreign id is unknown,
 //!   an expired deadline times out and a later `wait` on the same id
 //!   still succeeds;
@@ -339,7 +340,25 @@ fn main() {
     let tcp =
         TcpCluster::launch(workflow(), placement(), config(), TAG).expect("launch TCP cluster");
     let b = contract("tcp", &tcp, foreign);
+    // The reassembler's fallback at its smallest: every TCP chunk is an
+    // allocation of its own, so a two-chunk transfer adopts chunk 0,
+    // cannot join chunk 1 and demotes to copy assembly — on each of the
+    // three hops. Byte identity is all there is to assert.
+    let chunks_before = tcp.stats().remote_chunks;
+    let two_chunks = payload(b'F', 64 * 1024 + 5);
+    let req = tcp.invoke(both(&two_chunks, b"s"));
+    let outputs = tcp
+        .wait(req, Duration::from_secs(60))
+        .expect("two-chunk request completes");
+    assert!(
+        *outputs[0].1 == expected(&two_chunks, b"s")[..],
+        "tcp: two-chunk output diverged"
+    );
     let stats = tcp.stats();
+    assert!(
+        stats.remote_chunks >= chunks_before + 2,
+        "tcp: the two-chunk payload was not chunked"
+    );
     dead_node_never_blocks_release("tcp", &tcp);
     tcp.shutdown();
 

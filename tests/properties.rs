@@ -53,6 +53,13 @@ impl Gen {
         lo + self.rng.index((hi - lo) as usize) as u64
     }
 
+    /// Shuffles `items` in place (Fisher-Yates on the generator).
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.usize_in(0, i + 1));
+        }
+    }
+
     /// A vector of `[min_len, max_len)` elements drawn by `item`.
     fn vec<T>(
         &mut self,
@@ -386,10 +393,7 @@ fn remote_chunking_reassembles_byte_identical() {
         for w in spans.windows(2) {
             assert_eq!(w[0].1, w[1].0);
         }
-        // Shuffle the arrival order (Fisher-Yates on the generator).
-        for i in (1..spans.len()).rev() {
-            spans.swap(i, g.usize_in(0, i + 1));
-        }
+        g.shuffle(&mut spans); // arrival order
         let mut r = Reassembler::new(len);
         for (i, (lo, hi)) in spans.iter().enumerate() {
             if i + 1 < spans.len() && len > 0 {
@@ -399,6 +403,115 @@ fn remote_chunking_reassembles_byte_identical() {
         }
         assert!(r.complete());
         assert_eq!(&*r.into_bytes(), &payload[..]);
+    });
+}
+
+/// The `Reassembler` against a plain `Vec<Option<u8>>` model, driven the
+/// way both media drive it: `write_bytes` with views of the payload's
+/// own allocation (the in-process fabric) and with independent copies
+/// (TCP-shaped), plain `write`, arbitrary spans — so shuffled order,
+/// duplicates, gaps and partial overlaps all occur — overruns, and
+/// `rollback_to` at random marks. After every step the coverage answers
+/// match the model's; at the end the payload is byte-identical.
+#[test]
+fn reassembler_matches_a_byte_coverage_model() {
+    use dataflower_rt::{chunk_spans, Bytes, Reassembler};
+    fn model_prefix(model: &[Option<u8>]) -> usize {
+        model
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or(model.len())
+    }
+    check("reassembler_matches_a_byte_coverage_model", |g| {
+        let len = g.usize_in(1, 4096);
+        let payload = Bytes::from((0..len).map(|i| (i * 31 + 7) as u8).collect::<Vec<_>>());
+        let mut model: Vec<Option<u8>> = vec![None; len];
+        let mut r = Reassembler::new(len);
+        // Random steps first — half of them starting at byte 0 or at the
+        // frontier, where adoption and joining happen — then every span
+        // once so the transfer ends.
+        let random_steps = g.usize_in(0, 24);
+        let mut tail = chunk_spans(len, g.usize_in(1, len + 1));
+        if g.usize_in(0, 2) == 0 {
+            g.shuffle(&mut tail);
+        }
+        for step in 0..random_steps + tail.len() {
+            let (lo, hi) = if step < random_steps {
+                let lo = match g.usize_in(0, 4) {
+                    0 => 0,
+                    1 => (r.contiguous_prefix().saturating_sub(g.usize_in(0, 3))).min(len - 1),
+                    _ => g.usize_in(0, len),
+                };
+                let longest = if g.usize_in(0, 2) == 0 { 4 } else { len };
+                (lo, g.usize_in(lo, (lo + longest).min(len) + 1))
+            } else {
+                tail[step - random_steps]
+            };
+            match g.usize_in(0, 8) {
+                0 if step < random_steps => {
+                    let mark = g.usize_in(0, len + 1);
+                    r.rollback_to(mark);
+                    model[mark..].fill(None);
+                    assert_eq!(r.contiguous_prefix(), model_prefix(&model));
+                }
+                1 => {
+                    // Overruns are refused and change nothing.
+                    assert!(!r.write_bytes(lo + 1, payload.slice(lo..)));
+                    assert!(!r.write(len, &payload[..1]));
+                }
+                _ => {}
+            }
+            let accepted = match g.usize_in(0, 3) {
+                0 => r.write_bytes(lo, payload.slice(lo..hi)),
+                1 => r.write_bytes(lo, Bytes::copy_from_slice(&payload[lo..hi])),
+                _ => r.write(lo, &payload[lo..hi]),
+            };
+            assert!(accepted, "in-bounds chunk {lo}..{hi} refused");
+            for i in lo..hi {
+                model[i] = Some(payload[i]);
+            }
+            let prefix = model_prefix(&model);
+            assert_eq!(r.contiguous_prefix(), prefix);
+            assert_eq!(r.complete(), prefix == len);
+        }
+        assert!(r.complete());
+        assert_eq!(r.into_bytes(), payload);
+    });
+}
+
+/// What the in-process fabric delivers — the payload's own chunk views,
+/// in order — is reassembled with **zero copies**: the result is the
+/// sender's allocation, also when a duplicate arrives, and also after a
+/// crash rolled the stream back to a mark and the sender replayed its
+/// retained views from there.
+#[test]
+fn in_order_views_reassemble_without_a_copy() {
+    use dataflower_rt::{chunk_spans, Bytes, Reassembler};
+    check("in_order_views_reassemble_without_a_copy", |g| {
+        let len = g.usize_in(1, 120_000);
+        let payload = Bytes::from(vec![0xA5u8; len]);
+        let spans = chunk_spans(len, g.usize_in(1, 70_000));
+        let crash_after = g.usize_in(0, spans.len() + 1);
+        let mut r = Reassembler::new(len);
+        for &(lo, hi) in &spans[..crash_after] {
+            assert!(r.write_bytes(lo, payload.slice(lo..hi)));
+            if g.usize_in(0, 4) == 0 {
+                assert!(r.write_bytes(lo, payload.slice(lo..hi)), "duplicate");
+            }
+        }
+        // The mark is a chunk boundary at or below what arrived.
+        let resume = g.usize_in(0, crash_after + 1);
+        let mark = spans.get(resume).map_or(len, |&(lo, _)| lo);
+        r.rollback_to(mark);
+        assert_eq!(r.contiguous_prefix(), mark);
+        for &(lo, hi) in &spans[resume..] {
+            assert!(!r.complete());
+            assert!(r.write_bytes(lo, payload.slice(lo..hi)));
+        }
+        assert!(r.complete());
+        let out = r.into_bytes();
+        assert!(std::ptr::eq(out.as_ptr(), &payload[0]), "a copy was made");
+        assert_eq!(out.len(), len);
     });
 }
 
