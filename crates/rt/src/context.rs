@@ -1,4 +1,9 @@
 //! The FLU programming interface: what a function body sees.
+//!
+//! Which thread routes a `put` — the calling FLU thread or the node's DLU
+//! daemon — follows the §7 pipe kind: `PutPlan::is_handoff` in
+//! `runtime.rs` is the code, README § Performance ("Thread hand-offs per
+//! hop") the statement of the rule.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -7,7 +12,7 @@ use std::sync::Arc;
 use crate::autoscale::FnScale;
 use crate::bytes::Bytes;
 use crate::channel::Sender;
-use crate::runtime::{DluMsg, ReqId};
+use crate::runtime::{resolve_put, route, DluMsg, Inner, ReqId};
 
 /// Destination selector for [`FluContext::put_to`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,13 +29,17 @@ pub enum PutTarget {
 /// FLU/DLU programming model, Fig. 5a).
 ///
 /// Inputs are the data items that triggered this invocation, keyed by
-/// their declared data names. Outputs are handed to the DLU daemon with
+/// their declared data names. Outputs are handed to the DLU with
 /// [`FluContext::put`] / [`FluContext::put_to`] and start flowing
-/// **immediately and asynchronously** — the function keeps computing
-/// while the DLU ships, which is exactly the compute/communication
-/// overlap of §5.1. A full DLU queue blocks the put: that is the
-/// backpressure of Fig. 6a.
+/// **immediately and asynchronously** — the consumer is triggered from
+/// inside the call and the function keeps computing while the DLU ships,
+/// which is exactly the compute/communication overlap of §5.1. A full
+/// DLU or link queue blocks the put: that is the backpressure of
+/// Fig. 6a.
 pub struct FluContext {
+    /// The runtime this invocation runs in: hand-off puts route through
+    /// it on the calling thread.
+    pub(crate) rt: Arc<Inner>,
     pub(crate) req: ReqId,
     pub(crate) src_fn: String,
     pub(crate) inputs: BTreeMap<String, Bytes>,
@@ -38,14 +47,16 @@ pub struct FluContext {
     /// Live gauges of this function's pool; `put` adds the payload to the
     /// DLU backlog so the autoscaler sees Eq. 1's `Size` term.
     pub(crate) scale: Arc<FnScale>,
-    /// Wall-clock time this invocation spent blocked inside `put` (a full
-    /// DLU queue). The executor subtracts it from the body's elapsed time
-    /// so Eq. 1's `T_FLU` term measures compute, not backpressure.
+    /// Wall-clock time this invocation spent inside `put` (a full DLU
+    /// queue, or a hand-off routed against a full link queue). The
+    /// executor subtracts it from the body's elapsed time so Eq. 1's
+    /// `T_FLU` term measures compute, not backpressure.
     pub(crate) blocked: std::time::Duration,
 }
 
 impl FluContext {
     pub(crate) fn new(
+        rt: Arc<Inner>,
         req: ReqId,
         src_fn: String,
         inputs: BTreeMap<String, Bytes>,
@@ -53,6 +64,7 @@ impl FluContext {
         scale: Arc<FnScale>,
     ) -> Self {
         FluContext {
+            rt,
             req,
             src_fn,
             inputs,
@@ -115,10 +127,17 @@ impl FluContext {
         self.inputs.len()
     }
 
-    /// Hands `payload` to the DLU daemon for every output edge named
-    /// `data_name` (`DataFlower.DLU.Put`). The transfer begins while the
-    /// function keeps running; a saturated DLU blocks the caller
-    /// (backpressure).
+    /// Hands `payload` to the DLU for every output edge named
+    /// `data_name` (`DataFlower.DLU.Put`). The transfer begins — and a
+    /// consumer whose inputs it completes is submitted to its scheduler —
+    /// before the call returns, while the function keeps running; a
+    /// saturated DLU or link queue blocks the caller (backpressure).
+    ///
+    /// A put that is a hand-off on every edge it matches (local pipe,
+    /// direct socket, client output) is routed on the calling thread;
+    /// one with a remote-pipe edge is queued to the node's DLU daemon,
+    /// which streams it (README.md § Performance, "Thread hand-offs per
+    /// hop").
     ///
     /// The payload is never copied on its way out: fan-out clones are
     /// refcount bumps, and remote-pipe chunking ships
@@ -129,7 +148,7 @@ impl FluContext {
         self.send(data_name.into(), PutTarget::All, payload.into());
     }
 
-    /// Hands `payload` to the DLU daemon for the output edge(s) named
+    /// Hands `payload` to the DLU for the output edge(s) named
     /// `data_name` that lead to `target_fn` only — distinct per-branch
     /// payloads for `foreach` fan-outs.
     pub fn put_to(
@@ -146,9 +165,9 @@ impl FluContext {
     }
 
     fn send(&mut self, data_name: String, target: PutTarget, payload: Bytes) {
-        // Count the payload into the DLU backlog *before* the send: a put
-        // blocked on a full DLU queue is exactly the pressure Eq. 1 is
-        // meant to see. The daemon subtracts it once routing finished.
+        // Count the payload into the DLU backlog *before* routing: a put
+        // blocked on a full DLU or link queue is exactly the pressure
+        // Eq. 1 is meant to see. Whoever finishes routing subtracts it.
         let len = payload.len() as u64;
         self.scale.backlog_bytes.fetch_add(len, Ordering::Relaxed);
         let msg = DluMsg {
@@ -158,13 +177,19 @@ impl FluContext {
             target,
             payload,
         };
-        // The runtime only drops the DLU receiver at shutdown; a send
-        // failure then is harmless — but take the bytes back out so the
-        // gauge cannot leak upward.
         let t0 = std::time::Instant::now();
-        let sent = self.dlu.send(msg);
+        let left_dlu = match resolve_put(&self.rt, &msg) {
+            Some(plan) if plan.is_handoff() => {
+                route(&self.rt, msg, Some(plan));
+                true
+            }
+            // The runtime only drops the DLU receiver at shutdown; a send
+            // failure then is harmless — but take the bytes back out so
+            // the gauge cannot leak upward.
+            _ => self.dlu.send(msg).is_err(),
+        };
         self.blocked += t0.elapsed();
-        if sent.is_err() {
+        if left_dlu {
             self.scale.backlog_bytes.fetch_sub(len, Ordering::Relaxed);
         }
     }

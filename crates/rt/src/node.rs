@@ -4,8 +4,10 @@
 //!
 //! Each node owns an FLU scheduler
 //! ([`NodeScheduler`](crate::NodeScheduler)) executing the functions
-//! placed on it, one merged DLU daemon thread routing their `put`s, its
-//! own Wait-Match data sink (inbound payloads keyed by `(request,
+//! placed on it, one merged DLU daemon thread streaming their
+//! remote-pipe `put`s (hand-off puts are routed by the FLU thread that
+//! made them — `runtime::PutPlan::is_handoff` states the rule), its own
+//! Wait-Match data sink (inbound payloads keyed by `(request,
 //! function, edge)`), and the reassembly buffers of in-flight
 //! remote-pipe transfers; a runtime-wide janitor passively expires
 //! unconsumed sink entries — the same anatomy the paper gives a worker

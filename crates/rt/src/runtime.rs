@@ -8,12 +8,14 @@
 //!   lazily-spawned worker threads pop the front, and the per-function
 //!   replica gauges sum into the node's *active worker-slot window*
 //!   instead of dedicated threads-per-function;
-//! * per node, one **merged DLU daemon thread** drains the node's `put`
-//!   channel and routes payloads along the workflow's data edges,
-//!   classifying every inter-function transfer through the paper's
-//!   three-way pipe choice (§7): direct socket under the 16 KiB
-//!   threshold, node-local pipe when co-located, chunked streaming
-//!   remote pipe across nodes;
+//! * a `put` is routed along the workflow's data edges, every
+//!   inter-function transfer classified through the paper's three-way
+//!   pipe choice (§7): direct socket under the 16 KiB threshold,
+//!   node-local pipe when co-located, chunked streaming remote pipe
+//!   across nodes. The pipe kind also decides *who* routes
+//!   ([`PutPlan::is_handoff`]): hand-offs on the putting FLU thread,
+//!   remote pipes on the node's one **merged DLU daemon thread**, which
+//!   drains the node's bounded `put` channel;
 //! * each node owns a **data sink** (a lock-striped
 //!   [`ShardedSink`](crate::ShardedSink), one stripe lock per request
 //!   hash) that caches inbound data per `(request, function, edge)` and
@@ -33,9 +35,9 @@
 //!   past their TTL (counting them as spilled to disk).
 //!
 //! Bounded DLU queues give real backpressure: a function that produces
-//! faster than its DLU drains blocks in `put`, exactly Fig. 6a; a DLU
-//! that out-produces an inter-node link blocks on the link's bounded
-//! queue the same way.
+//! faster than its DLU drains blocks in `put`, exactly Fig. 6a; a DLU —
+//! or a hand-off `put` — that out-produces an inter-node link blocks on
+//! the link's bounded queue the same way.
 //!
 //! When elastic scaling is enabled ([`AutoscaleConfig`]), a runtime-wide
 //! **autoscaler thread** samples every function's DLU backlog each tick,
@@ -1498,13 +1500,15 @@ pub(crate) fn submit_invoke(
         let Some(inner) = me.upgrade() else {
             return;
         };
-        run_invocation(&inner, &fn_name, req, inputs, &body, dlu, &scale);
+        run_invocation(inner, &fn_name, req, inputs, &body, dlu, &scale);
     }));
 }
 
-/// Runs one function invocation on the calling scheduler worker.
+/// Runs one function invocation on the calling scheduler worker. The
+/// context keeps the runtime handle: a hand-off `put` routes from this
+/// thread ([`PutPlan::is_handoff`]).
 fn run_invocation(
-    inner: &Inner,
+    inner: Arc<Inner>,
     fn_name: &str,
     req: ReqId,
     inputs: BTreeMap<String, Bytes>,
@@ -1522,13 +1526,20 @@ fn run_invocation(
             .function_by_name(fn_name)
             .map_or(u32::MAX, |f| f.index() as u32),
     });
-    let mut ctx = FluContext::new(req, fn_name.to_string(), inputs, dlu, Arc::clone(scale));
+    let mut ctx = FluContext::new(
+        inner,
+        req,
+        fn_name.to_string(),
+        inputs,
+        dlu,
+        Arc::clone(scale),
+    );
     let t0 = Instant::now();
     body(&mut ctx);
     // Eq. 1's T_FLU is compute time: discount what the body spent
-    // blocked in `put` behind a saturated DLU, or backpressure would
-    // masquerade as useful work and suppress the very pressure it
-    // signals.
+    // blocked in `put` behind a saturated DLU or link queue, or
+    // backpressure would masquerade as useful work and suppress the very
+    // pressure it signals.
     let t_flu = t0.elapsed().saturating_sub(ctx.blocked);
     scale
         .t_flu
@@ -1538,9 +1549,11 @@ fn run_invocation(
     scale.live.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// One node's merged DLU daemon: drains the node-wide put queue and
-/// routes each payload, charging the drained bytes back to the source
-/// function's Eq. 1 backlog gauge. Exits when the queue disconnects
+/// One node's merged DLU daemon: drains the node-wide put queue — the
+/// puts with a remote-pipe edge, which take time to stream, and the ones
+/// that matched nothing ([`PutPlan::is_handoff`] sent the rest around
+/// it) — and routes each payload, charging the drained bytes back to the
+/// source function's Eq. 1 backlog gauge. Exits when the queue disconnects
 /// (shutdown cleared the long-lived sender and in-flight invocations
 /// dropped their clones) or the shutdown flag is up.
 pub(crate) fn dlu_daemon(inner: Arc<Inner>, rx: Receiver<DluMsg>) {
@@ -1550,7 +1563,10 @@ pub(crate) fn dlu_daemon(inner: Arc<Inner>, rx: Receiver<DluMsg>) {
         }
         let len = msg.payload.len() as u64;
         let scale = inner.scale.get(&msg.src_fn).cloned();
-        route(&inner, msg);
+        // Resolved again, not carried over from `put`: the queue wait can
+        // span a migration, and routing follows the *live* placement.
+        let plan = resolve_put(&inner, &msg);
+        route(&inner, msg, plan);
         // The payload left the DLU (routing finished, including any time
         // blocked on a saturated inter-node link): drop it from the
         // Eq. 1 backlog gauge.
@@ -1671,30 +1687,56 @@ fn autoscaler(inner: Arc<Inner>) {
     }
 }
 
-/// Routes one DLU put along the matching data edges, classifying each
+/// What one `put` resolves to against the live placement: the output
+/// edges it matched, and for each active one where it goes and over which
+/// §7 pipe. Resolved once per routing — the kind picked here is the kind
+/// [`ship`] uses and traces.
+pub(crate) struct PutPlan {
+    src_node: usize,
+    /// Whether any output edge carries the data name toward the target
+    /// at all (switched-off branches included).
+    matched: bool,
+    /// Active matched edges with `(destination endpoint, pipe kind)`;
+    /// `None` is the in-process client output, recorded rather than
+    /// shipped.
+    hops: Vec<(EdgeId, Option<(usize, PipeKind)>)>,
+}
+
+impl PutPlan {
+    /// The routing rule (stated in README § Performance, "Thread
+    /// hand-offs per hop"): with no remote pipe among its edges a put is
+    /// an O(1) ownership hand-off, and the FLU thread that made it routes
+    /// it. A remote pipe is the transfer §5.1 overlaps with compute and
+    /// goes through the DLU queue to the daemon; so does a put that
+    /// matched nothing, whose error the daemon's route reports.
+    pub(crate) fn is_handoff(&self) -> bool {
+        let remote_pipes = self
+            .hops
+            .iter()
+            .any(|(_, via)| matches!(via, Some((_, PipeKind::RemotePipe))));
+        self.matched && !remote_pipes
+    }
+}
+
+/// Resolves one put's matching data edges, classifying each
 /// inter-function transfer through the paper's three-way pipe choice.
 /// The source node — and with it the link row and retention window —
 /// comes from the *live* placement, so a DLU daemon keeps routing
-/// correctly after its function migrated to another node.
-fn route(inner: &Inner, msg: DluMsg) {
-    inner.counters.puts.fetch_add(1, Ordering::Relaxed);
+/// correctly after its function migrated to another node. `None`: the
+/// request was already collected.
+pub(crate) fn resolve_put(inner: &Inner, msg: &DluMsg) -> Option<PutPlan> {
     let wf = &inner.workflow;
-    let Some(src) = wf.function_by_name(&msg.src_fn) else {
-        return;
-    };
+    let src = wf.function_by_name(&msg.src_fn)?;
     let src_node = inner.node_of(&msg.src_fn);
-    let Some(links) = inner.link_row(src_node) else {
-        return; // rows cleared: shutdown in progress
-    };
-    let active = match inner.nodes[src_node]
+    let active = inner.nodes[src_node]
         .sink
-        .with(msg.req.0, |rs| rs.map(|r| Arc::clone(&r.active)))
-    {
-        Some(a) => a,
-        None => return, // request already collected
+        .with(msg.req.0, |rs| rs.map(|r| Arc::clone(&r.active)))?;
+    let mut plan = PutPlan {
+        src_node,
+        matched: false,
+        hops: Vec::new(),
     };
-    let mut matched = false;
-    for eid in wf.outputs(src).to_vec() {
+    for &eid in wf.outputs(src) {
         let e = wf.edge(eid);
         if e.data_name != msg.data_name {
             continue;
@@ -1707,38 +1749,52 @@ fn route(inner: &Inner, msg: DluMsg) {
         if !target_ok {
             continue;
         }
-        matched = true;
+        plan.matched = true;
         if !active.edge_active(eid) {
             continue; // switched-off branch: data dropped by design
         }
-        match e.target {
-            Endpoint::Client => match &inner.wire {
-                // Worker process: the client is the cluster's trailing
-                // endpoint — ship the output to it over the wire,
-                // retained and acked like any transfer.
-                Some(w) => {
-                    let key = format!("{}@{}", msg.data_name, msg.src_fn);
-                    ship(
-                        inner,
-                        &links,
-                        src_node,
-                        w.client,
-                        msg.req,
-                        eid,
-                        key,
-                        &msg.payload,
-                    );
-                }
-                None => complete_output(inner, msg.req.0, eid, msg.payload.clone()),
-            },
-            Endpoint::Function(t) => {
-                let dst_node = inner.node_of(&wf.function(t).name);
+        let dst_node = match e.target {
+            Endpoint::Function(t) => Some(inner.node_of(&wf.function(t).name)),
+            // Worker process: the client is the cluster's trailing
+            // endpoint — its output ships over the wire, retained and
+            // acked like any transfer.
+            Endpoint::Client => inner.wire.as_ref().map(|w| w.client),
+        };
+        let via = dst_node.map(|dst| {
+            let kind = choose_pipe(
+                msg.payload.len() as f64,
+                inner.cfg.direct_threshold_bytes as f64,
+                src_node == dst,
+            );
+            (dst, kind)
+        });
+        plan.hops.push((eid, via));
+    }
+    Some(plan)
+}
+
+/// Routes one put along its resolved edges — on the putting FLU thread
+/// for a hand-off, on the node's DLU daemon otherwise
+/// ([`PutPlan::is_handoff`]).
+pub(crate) fn route(inner: &Inner, msg: DluMsg, plan: Option<PutPlan>) {
+    inner.counters.puts.fetch_add(1, Ordering::Relaxed);
+    let Some(plan) = plan else {
+        return;
+    };
+    let Some(links) = inner.link_row(plan.src_node) else {
+        return; // rows cleared: shutdown in progress
+    };
+    for &(eid, via) in &plan.hops {
+        match via {
+            None => complete_output(inner, msg.req.0, eid, msg.payload.clone()),
+            Some((dst_node, kind)) => {
                 let key = format!("{}@{}", msg.data_name, msg.src_fn);
                 ship(
                     inner,
                     &links,
-                    src_node,
+                    plan.src_node,
                     dst_node,
+                    kind,
                     msg.req,
                     eid,
                     key,
@@ -1747,7 +1803,7 @@ fn route(inner: &Inner, msg: DluMsg) {
             }
         }
     }
-    if !matched {
+    if !plan.matched {
         let mut reqs = inner.reqs.lock().expect("runtime lock poisoned");
         if let Some(rs) = reqs.get_mut(&msg.req.0) {
             rs.errors.push(format!(
@@ -1759,26 +1815,23 @@ fn route(inner: &Inner, msg: DluMsg) {
     }
 }
 
-/// Ships one inter-function payload over the pipe kind §7 prescribes:
-/// direct socket under the threshold, local pipe when co-located,
-/// chunked streaming remote pipe with checkpoint marks otherwise.
+/// Ships one inter-function payload over the pipe `kind` §7 prescribed
+/// ([`resolve_put`]): direct socket under the threshold, local pipe when
+/// co-located, chunked streaming remote pipe with checkpoint marks
+/// otherwise.
 #[allow(clippy::too_many_arguments)]
 fn ship(
     inner: &Inner,
     links: &[Option<Sender<NetMsg>>],
     src_node: usize,
     dst_node: usize,
+    kind: PipeKind,
     req: ReqId,
     edge: EdgeId,
     key: String,
     payload: &Bytes,
 ) {
     let len = payload.len();
-    let kind = choose_pipe(
-        len as f64,
-        inner.cfg.direct_threshold_bytes as f64,
-        src_node == dst_node,
-    );
     // §7 decisions are only sim-comparable for inter-function edges;
     // wire-mode client outputs ride ship() too but have no simulated
     // pipe-choice counterpart.
@@ -2573,11 +2626,13 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
         // cover — a function relocated here mid-request. (The common
         // path finds the count `seed_req_state` already put there, or
         // the `usize::MAX` sentinel of an already-triggered consumer.)
-        let late_seed = wf
-            .inputs(dst)
-            .iter()
-            .filter(|e| rs.active.edge_active(**e))
-            .count();
+        let active = &rs.active;
+        let late_seed = || {
+            wf.inputs(dst)
+                .iter()
+                .filter(|e| active.edge_active(**e))
+                .count()
+        };
         let entry = SinkEntry {
             key,
             payload,
@@ -2590,7 +2645,7 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
             .or_default()
             .insert(edge, entry)
             .is_none();
-        let missing = rs.missing.entry(dst).or_insert(late_seed);
+        let missing = rs.missing.entry(dst).or_insert_with(late_seed);
         if fresh && *missing != usize::MAX {
             debug_assert!(*missing > 0, "over-delivery on {edge}");
             *missing -= 1;
@@ -2697,6 +2752,181 @@ fn janitor(inner: Arc<Inner>, ttl: Duration) {
 mod tests {
     use super::*;
     use dataflower_sim::SimRng;
+    use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder};
+
+    const SMALL: usize = 1024;
+    /// Over the 16 KiB direct threshold: a pipe, local or remote.
+    const BIG: usize = 64 * 1024;
+
+    /// `src` and `near` on node 0, `far` on node 1: `n` reaches the
+    /// co-located consumer, `f` the one across the link, `both` fans out
+    /// to the two of them, `out` goes to the client. No body puts; the
+    /// tests put through hand-built `src` contexts.
+    fn handoff_cluster() -> ClusterRuntimeBuilder {
+        let mut b = WorkflowBuilder::new("handoff");
+        let src = b.function("src", WorkModel::fixed(0.0));
+        let near = b.function("near", WorkModel::fixed(0.0));
+        let far = b.function("far", WorkModel::fixed(0.0));
+        b.client_input(src, "in", SizeModel::Fixed(8.0));
+        b.edge(src, near, "n", SizeModel::Fixed(8.0));
+        b.edge(src, far, "f", SizeModel::Fixed(8.0));
+        b.edge(src, near, "both", SizeModel::Fixed(8.0));
+        b.edge(src, far, "both", SizeModel::Fixed(8.0));
+        b.client_output(src, "out", SizeModel::Fixed(8.0));
+        b.client_output(near, "near_out", SizeModel::Fixed(8.0));
+        b.client_output(far, "far_out", SizeModel::Fixed(8.0));
+        ClusterRuntimeBuilder::new(Arc::new(b.build().expect("valid workflow")))
+            .placement(Placement::with_nodes(2).assign("far", 1))
+            .register("src", |_| {})
+            .register("near", |_| {})
+            .register("far", |_| {})
+    }
+
+    /// A context of `src` for `req` whose DLU queue is `dlu`, not the
+    /// node's: what a put queues for the daemon stays where the test can
+    /// count it.
+    fn src_ctx(inner: &Arc<Inner>, req: ReqId, dlu: &Sender<DluMsg>) -> FluContext {
+        FluContext::new(
+            Arc::clone(inner),
+            req,
+            "src".into(),
+            BTreeMap::new(),
+            dlu.clone(),
+            Arc::clone(&inner.scale["src"]),
+        )
+    }
+
+    /// One put per case — `(data name, put_to target, bytes, hand-off?)`
+    /// — each for a request of its own from `seed`. The caller routed iff
+    /// `route` counted the put before `put` returned, nothing was queued
+    /// and the bytes are off the backlog gauge again; a queued put is
+    /// counted by nobody yet and still owes its bytes. Returns the
+    /// queued messages with their requests.
+    fn assert_who_routes(
+        inner: &Arc<Inner>,
+        seed: impl Fn() -> ReqId,
+        cases: &[(&str, Option<&str>, usize, bool)],
+    ) -> Vec<DluMsg> {
+        let (dlu, queue) = bounded::<DluMsg>(cases.len());
+        let backlog = &inner.scale["src"].backlog_bytes;
+        let mut queued = Vec::new();
+        for &(data, target, len, handoff) in cases {
+            let puts = inner.counters.puts.load(Ordering::Relaxed);
+            let owed = backlog.load(Ordering::Relaxed);
+            let mut ctx = src_ctx(inner, seed(), &dlu);
+            match target {
+                None => ctx.put(data, vec![7u8; len]),
+                Some(t) => ctx.put_to(data, t, vec![7u8; len]),
+            }
+            let case = format!("{data} -> {target:?}, {len} B");
+            let routed = inner.counters.puts.load(Ordering::Relaxed) - puts;
+            let newly = queue.try_drain(&mut queued, 8).expect("sender alive");
+            let owes = backlog.load(Ordering::Relaxed) - owed;
+            if handoff {
+                assert_eq!((routed, newly, owes), (1, 0, 0), "{case}: caller routes");
+            } else {
+                assert_eq!((routed, newly, owes), (0, 1, len as u64), "{case}: queued");
+            }
+        }
+        queued
+    }
+
+    /// The routing rule over payload size x co-location x `PutTarget`
+    /// on the in-process fabric: the caller routes iff the put matched
+    /// an edge and none of them is a remote pipe. What was queued then
+    /// goes through the real daemon loop: it settles the gauge, and the
+    /// unmatched name still faults its request.
+    #[test]
+    fn caller_routes_iff_no_matched_edge_is_a_remote_pipe() {
+        let rt = handoff_cluster().start().expect("start");
+        let inner = Arc::clone(&rt.inner);
+        let queued = assert_who_routes(
+            &inner,
+            || rt.invoke(vec![("in".into(), Bytes::from_static(b"x"))]),
+            &[
+                ("n", None, SMALL, true),          // direct socket, same node
+                ("n", None, BIG, true),            // local pipe
+                ("f", None, SMALL, true),          // direct socket across the link
+                ("f", None, BIG, false),           // remote pipe
+                ("both", None, SMALL, true),       // two direct sockets
+                ("both", None, BIG, false),        // local pipe + remote pipe
+                ("both", Some("near"), BIG, true), // the local-pipe branch only
+                ("both", Some("far"), BIG, false), // the remote-pipe branch only
+                ("out", None, BIG, true),          // in-process client output
+                ("nope", None, SMALL, false),      // matches nothing
+                ("both", Some("ghost"), SMALL, false),
+            ],
+        );
+        let unmatched = queued
+            .iter()
+            .find(|m| m.data_name == "nope")
+            .map(|m| m.req)
+            .expect("queued above");
+        let (dlu, queue) = bounded::<DluMsg>(queued.len());
+        for msg in queued {
+            assert!(dlu.send(msg).is_ok(), "receiver alive");
+        }
+        drop(dlu);
+        dlu_daemon(Arc::clone(&inner), queue);
+        assert_eq!(inner.scale["src"].backlog_bytes.load(Ordering::Relaxed), 0);
+        let err = rt.wait(unmatched, Duration::from_secs(5)).unwrap_err();
+        assert!(
+            matches!(&err, RtError::Faulted(m) if m.contains("put unknown data `nope`")),
+            "{err:?}"
+        );
+
+        // At shutdown a hand-off finds the link rows cleared and a queued
+        // put finds the DLU receiver gone: neither may leak its bytes
+        // into the gauge.
+        let req = rt.invoke(vec![("in".into(), Bytes::from_static(b"x"))]);
+        rt.signal_shutdown();
+        let (dlu, queue) = bounded::<DluMsg>(1);
+        drop(queue);
+        let mut ctx = src_ctx(&inner, req, &dlu);
+        ctx.put("n", vec![7u8; BIG]);
+        ctx.put("f", vec![7u8; BIG]);
+        assert_eq!(inner.scale["src"].backlog_bytes.load(Ordering::Relaxed), 0);
+        rt.shutdown();
+    }
+
+    /// The same rule at a worker endpoint of a TCP cluster: the client
+    /// is one more endpoint across a link, so its output is a hand-off
+    /// under the threshold and a remote pipe over it; hand-offs land on
+    /// the outbound link queues as whole frames.
+    #[test]
+    fn caller_routes_hand_offs_onto_the_wire() {
+        let (rt, out_rx) = handoff_cluster()
+            .start_wire(WireSpec { local: 0, epoch: 0 })
+            .expect("start worker endpoint");
+        let inner = Arc::clone(&rt.inner);
+        let next = AtomicU64::new(0);
+        let queued = assert_who_routes(
+            &inner,
+            || {
+                let req = next.fetch_add(1, Ordering::Relaxed);
+                ensure_seeded(&inner, 0, req);
+                ReqId(req)
+            },
+            &[
+                ("n", None, BIG, true),     // local pipe
+                ("f", None, SMALL, true),   // direct socket over TCP
+                ("f", None, BIG, false),    // remote pipe
+                ("out", None, SMALL, true), // direct socket to the client endpoint
+                ("out", None, BIG, false),  // remote pipe to the client endpoint
+            ],
+        );
+        assert_eq!(queued.len(), 2);
+        for (endpoint, rx) in out_rx.iter().enumerate().skip(1) {
+            let mut frames = Vec::new();
+            let rx = rx.as_ref().expect("outbound link");
+            assert_eq!(rx.try_drain(&mut frames, 8), Ok(1), "endpoint {endpoint}");
+            assert!(
+                matches!(&frames[0], NetMsg::Whole { payload, .. } if payload.len() == SMALL),
+                "endpoint {endpoint}"
+            );
+        }
+        rt.shutdown();
+    }
 
     /// `RtStats` names its fields by hand in `to_vec`, `from_vec` and
     /// `merge` (the worker `stats` RPC payload and its aggregation); a

@@ -411,7 +411,7 @@ impl<'a> BodyReader<'a> {
     fn rest(&mut self) -> Bytes {
         let s = &self.body[self.pos..];
         self.pos = self.body.len();
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 

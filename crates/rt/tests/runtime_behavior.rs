@@ -966,3 +966,144 @@ fn remote_pipe_hands_over_the_producers_allocation_in_process() {
         "the consumer's input is not the producer's allocation"
     );
 }
+
+// ---------------------------------------------------------------------
+// Who routes a put (README § Performance, "Thread hand-offs per hop")
+// ---------------------------------------------------------------------
+
+/// `src` feeds `near` (data `small`) and `far` (data `big`); each of the
+/// three has a client output so the request completes when all ran.
+fn near_far_workflow() -> Arc<Workflow> {
+    let mut b = WorkflowBuilder::new("near_far");
+    let src = b.function("src", WorkModel::fixed(0.001));
+    let near = b.function("near", WorkModel::fixed(0.001));
+    let far = b.function("far", WorkModel::fixed(0.001));
+    b.client_input(src, "in", SizeModel::Fixed(8.0));
+    b.edge(src, near, "small", SizeModel::Fixed(1024.0));
+    b.edge(src, far, "big", SizeModel::Fixed(1024.0));
+    b.client_output(near, "near_out", SizeModel::Fixed(8.0));
+    b.client_output(far, "far_out", SizeModel::Fixed(8.0));
+    Arc::new(b.build().unwrap())
+}
+
+#[test]
+fn local_hand_off_does_not_queue_behind_a_remote_stream() {
+    // 2 MiB toward node 1 over a 16 MiB/s link whose queue holds two
+    // 64 KiB chunks: the node's DLU daemon spends ≥ 100 ms feeding that
+    // queue. The 1 KiB put that follows is a hand-off to a co-located
+    // consumer — routed by the putting thread, it must not wait for the
+    // daemon to get through the stream first.
+    use std::sync::Mutex;
+    use std::time::Instant;
+    const BIG: usize = 2 * 1024 * 1024;
+    let started: Arc<Mutex<BTreeMap<&'static str, Instant>>> = Arc::default();
+    let stamp = |who: &'static str| {
+        let started = Arc::clone(&started);
+        move || {
+            started.lock().unwrap().insert(who, Instant::now());
+        }
+    };
+    let (src_at, near_at, far_at) = (stamp("src"), stamp("near"), stamp("far"));
+    let rt = ClusterRuntimeBuilder::new(near_far_workflow())
+        .placement(Placement::with_nodes(2).assign("far", 1))
+        .config(ClusterConfig {
+            link: LinkConfig {
+                latency: Duration::ZERO,
+                bandwidth_bytes_per_sec: Some(16.0 * 1024.0 * 1024.0),
+                queue_capacity: 2,
+            },
+            ..ClusterConfig::default()
+        })
+        .register("src", move |ctx| {
+            src_at();
+            ctx.put("big", vec![1u8; BIG]);
+            ctx.put("small", vec![2u8; 1024]);
+        })
+        .register("near", move |ctx| {
+            near_at();
+            ctx.put("near_out", Bytes::from_static(b"near"));
+        })
+        .register("far", move |ctx| {
+            far_at();
+            assert_eq!(ctx.input("big").unwrap().len(), BIG);
+            ctx.put("far_out", Bytes::from_static(b"far"));
+        })
+        .start()
+        .unwrap();
+    let req = rt.invoke(vec![("in".into(), Bytes::from_static(b"x"))]);
+    rt.wait(req, Duration::from_secs(30)).unwrap();
+    let stats = rt.stats();
+    rt.shutdown();
+    assert_eq!(stats.remote_pipe_transfers, 1);
+    assert_eq!(stats.remote_chunks, 32);
+    let started = started.lock().unwrap();
+    let near = started["near"].duration_since(started["src"]);
+    let stream = started["far"].duration_since(started["src"]);
+    assert!(
+        near * 4 < stream,
+        "the co-located consumer started {near:?} after its producer; \
+         the stream beside it took {stream:?}"
+    );
+}
+
+#[test]
+fn consumer_starts_while_its_producer_is_still_inside_the_body() {
+    // The data-flow property, without a clock: `src` puts, then refuses
+    // to return until its consumer has *started*, and the consumer
+    // refuses to finish until `src` is past its `put`. A runtime that
+    // deferred the trigger to the body's return would sit out the first
+    // gate's timeout, one that ran the consumer on the producer's thread
+    // inside `put` the second's. Once over a local pipe on one node
+    // (active slots: one per function), once over a direct socket across
+    // a link.
+    use std::sync::mpsc;
+    use std::sync::Mutex;
+    const GATE: Duration = Duration::from_secs(10);
+    for (nodes, len, far_node) in [(1, 64 * 1024, 0), (2, 1024, 1)] {
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (past_put_tx, past_put_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = (Mutex::new(started_tx), Mutex::new(started_rx));
+        let (past_put_tx, past_put_rx) = (Mutex::new(past_put_tx), Mutex::new(past_put_rx));
+        let gates_passed = Arc::new(Mutex::new(Vec::new()));
+        let (src_gate, far_gate) = (Arc::clone(&gates_passed), Arc::clone(&gates_passed));
+        let rt = ClusterRuntimeBuilder::new(near_far_workflow())
+            .placement(Placement::with_nodes(nodes).assign("far", far_node))
+            .register("src", move |ctx| {
+                ctx.put("big", vec![1u8; len]);
+                past_put_tx.lock().unwrap().send(()).unwrap();
+                let started = started_rx.lock().unwrap().recv_timeout(GATE).is_ok();
+                src_gate.lock().unwrap().push(("consumer started", started));
+                ctx.put("small", Bytes::from_static(b"s"));
+            })
+            .register("near", |ctx| {
+                ctx.put("near_out", Bytes::from_static(b"near"))
+            })
+            .register("far", move |ctx| {
+                started_tx.lock().unwrap().send(()).unwrap();
+                let past_put = past_put_rx.lock().unwrap().recv_timeout(GATE).is_ok();
+                far_gate
+                    .lock()
+                    .unwrap()
+                    .push(("producer past its put", past_put));
+                ctx.put("far_out", Bytes::from_static(b"far"));
+            })
+            .start()
+            .unwrap();
+        let req = rt.invoke(vec![("in".into(), Bytes::from_static(b"x"))]);
+        rt.wait(req, Duration::from_secs(30)).unwrap();
+        let stats = rt.stats();
+        rt.shutdown();
+        let mut gates = gates_passed.lock().unwrap().clone();
+        gates.sort_unstable();
+        assert_eq!(
+            gates,
+            [("consumer started", true), ("producer past its put", true)],
+            "{nodes} node(s)"
+        );
+        assert_eq!(
+            (stats.local_pipe_transfers, stats.remote_pipe_transfers),
+            (u64::from(nodes == 1), 0),
+            "{nodes} node(s): the gated put was meant to be a hand-off"
+        );
+    }
+}
