@@ -57,20 +57,13 @@ const MIGRATION_DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 /// tick.
 pub(crate) fn heartbeat_responder(inner: Arc<Inner>, node: usize) {
     let tick = inner.cfg.heartbeat_interval;
-    loop {
-        if inner.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
+    while !inner.shutdown.load(Ordering::Relaxed) {
         if !inner.nodes[node].down.load(Ordering::SeqCst) {
             let ms = inner.started.elapsed().as_millis() as u64;
             inner.nodes[node].last_beat.store(ms, Ordering::SeqCst);
             inner.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
         }
-        let guard = inner.shutdown_mx.lock().expect("shutdown lock poisoned");
-        let _ = inner
-            .shutdown_cv
-            .wait_timeout(guard, tick)
-            .expect("shutdown lock poisoned");
+        inner.wait_shutdown(tick);
     }
 }
 
@@ -85,17 +78,7 @@ pub(crate) fn controller(inner: Arc<Inner>) {
     let interval_ms = (interval.as_millis() as u64).max(1);
     let threshold = inner.cfg.heartbeat_miss_threshold.max(1);
     let mut misses = vec![0u32; inner.nodes.len()];
-    loop {
-        {
-            let guard = inner.shutdown_mx.lock().expect("shutdown lock poisoned");
-            let _ = inner
-                .shutdown_cv
-                .wait_timeout(guard, interval)
-                .expect("shutdown lock poisoned");
-        }
-        if inner.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
+    while !inner.wait_shutdown(interval) {
         let now_ms = inner.started.elapsed().as_millis() as u64;
         for (n, miss) in misses.iter_mut().enumerate() {
             if inner.nodes[n].lost.load(Ordering::SeqCst) {

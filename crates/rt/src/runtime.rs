@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -425,6 +425,30 @@ impl Inner {
             .read()
             .expect("placement lock poisoned")
             .clone()
+    }
+
+    /// Raises the shutdown flag under `shutdown_mx` and wakes every
+    /// sleeper of [`Inner::wait_shutdown`] (and the autoscaler). Returns
+    /// the lock, so a caller can finish teardown steps before any scale
+    /// event runs again.
+    pub(crate) fn raise_shutdown(&self) -> MutexGuard<'_, ()> {
+        let guard = self.shutdown_mx.lock().expect("shutdown lock poisoned");
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown_cv.notify_all();
+        guard
+    }
+
+    /// The background loops' interruptible tick: sleeps for `tick` or
+    /// until shutdown is raised, whichever is first, and returns whether
+    /// it is. The flag is read under the lock every raise holds, so a
+    /// raise can never slip in between the check and the wait.
+    pub(crate) fn wait_shutdown(&self, tick: Duration) -> bool {
+        let guard = self.shutdown_mx.lock().expect("shutdown lock poisoned");
+        let _ = self
+            .shutdown_cv
+            .wait_timeout_while(guard, tick, |_| !self.shutdown.load(Ordering::Relaxed))
+            .expect("shutdown lock poisoned");
+        self.shutdown.load(Ordering::Relaxed)
     }
 
     /// The outbound link row of `src` (`None` once shutdown cleared the
@@ -1427,13 +1451,7 @@ impl ClusterRuntime {
         // next wait (none can sleep through the signal) and freezes the
         // replica gauges: the autoscaler only scales while holding this
         // same mutex.
-        let _guard = self
-            .inner
-            .shutdown_mx
-            .lock()
-            .expect("shutdown lock poisoned");
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.shutdown_cv.notify_all();
+        let _guard = self.inner.raise_shutdown();
         // Wake every scheduler worker (non-blocking; `shutdown` joins).
         for sched in &self.inner.scheds {
             sched.signal_stop();
@@ -2541,17 +2559,7 @@ fn recovery_daemon(inner: Arc<Inner>) {
     let tick = inner.cfg.recovery.map_or(max_tick, |timeout| {
         (timeout / 2).clamp(Duration::from_millis(1), max_tick)
     });
-    loop {
-        {
-            let guard = inner.shutdown_mx.lock().expect("shutdown lock poisoned");
-            let _ = inner
-                .shutdown_cv
-                .wait_timeout(guard, tick)
-                .expect("shutdown lock poisoned");
-        }
-        if inner.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
+    while !inner.wait_shutdown(tick) {
         if let Some(fs) = &inner.faults {
             for node in fs.take_due_restarts(Instant::now()) {
                 restart_node_inner(&inner, node);
@@ -2715,19 +2723,7 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
 /// data plane the way a single-lock scan would).
 fn janitor(inner: Arc<Inner>, ttl: Duration) {
     let tick = ttl.min(Duration::from_millis(50));
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        {
-            // Interruptible tick: shutdown wakes the janitor immediately
-            // instead of waiting out the sleep.
-            let guard = inner.shutdown_mx.lock().expect("shutdown lock poisoned");
-            let _ = inner
-                .shutdown_cv
-                .wait_timeout(guard, tick)
-                .expect("shutdown lock poisoned");
-        }
-        if inner.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
+    while !inner.wait_shutdown(tick) {
         let now = Instant::now();
         for node in &inner.nodes {
             node.sink.for_each_mut(|_, rs| {

@@ -52,6 +52,7 @@
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::Ordering;
@@ -740,15 +741,12 @@ impl CoordCtl {
 /// A slow worker is never a false positive — the control channel is
 /// served by a dedicated loop that answers pings regardless of
 /// data-plane load, so only a dead process (or torn socket) misses.
+/// Sleeps on the shutdown condvar so teardown never waits out a beat.
 fn coord_heartbeat(ctl: Arc<CoordCtl>) {
     let inner = &ctl.inner;
     let threshold = inner.cfg.heartbeat_miss_threshold.max(1);
     let mut misses = vec![0u32; ctl.workers.len()];
-    loop {
-        thread::sleep(inner.cfg.heartbeat_interval);
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
+    while !inner.wait_shutdown(inner.cfg.heartbeat_interval) {
         for (k, miss) in misses.iter_mut().enumerate() {
             if inner.nodes[k].lost.load(Ordering::SeqCst) {
                 continue;
@@ -890,6 +888,15 @@ fn spawn_worker(
 /// Accepts one worker's control connection and reads its hello line,
 /// both inside `deadline` — a peer that never connects, or connects and
 /// never speaks, must not hang the launch.
+///
+/// Event-driven: a blocking `accept` returns the moment a worker
+/// connects, and the kernel enforces the deadline. The listener's
+/// receive timeout (`SO_RCVTIMEO`) is set to the time left, which Linux
+/// applies to `accept` as well as to reads; an expired wait surfaces as
+/// `WouldBlock`. The kernel counts that timeout in ticks and may end the
+/// wait up to one tick early, so the wait is re-armed with what is left
+/// until the deadline has passed; then the call fails with `TimedOut`
+/// without touching the socket, since a zero timeout would block forever.
 /// Returns `(writer, reader, node, epoch, data_port)`.
 fn accept_hello(
     listener: &TcpListener,
@@ -901,30 +908,24 @@ fn accept_hello(
             "worker never introduced itself on the control channel",
         )
     };
-    listener.set_nonblocking(true)?;
+    let left = || {
+        Some(deadline.saturating_duration_since(Instant::now()))
+            .filter(|left| !left.is_zero())
+            .ok_or_else(timed_out)
+    };
+    // std sets `SO_RCVTIMEO` on streams only; a duplicate descriptor of
+    // the listener reaches the same socket.
+    let listener_timeout = TcpStream::from(OwnedFd::from(listener.try_clone()?));
     let stream = loop {
+        listener_timeout.set_read_timeout(Some(left()?))?;
         match listener.accept() {
             Ok((s, _)) => break s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    let _ = listener.set_nonblocking(false);
-                    return Err(timed_out());
-                }
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => {
-                let _ = listener.set_nonblocking(false);
-                return Err(e);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+            Err(e) => return Err(e),
         }
     };
-    listener.set_nonblocking(false)?;
     let _ = stream.set_nodelay(true); // RPC round trips must not hit Nagle
-    let left = deadline.saturating_duration_since(Instant::now());
-    if left.is_zero() {
-        return Err(timed_out());
-    }
-    stream.set_read_timeout(Some(left))?;
+    stream.set_read_timeout(Some(left()?))?;
     let w = stream.try_clone()?;
     let mut r = BufReader::new(stream);
     let mut line = String::new();
@@ -1321,8 +1322,9 @@ impl TcpCluster {
     pub fn shutdown(mut self) {
         // Flag first, then join the heartbeat: workers exiting on the
         // shutdown op must not read as missed beats and trigger a
-        // relocation storm mid-teardown.
-        self.ctl.inner.shutdown.store(true, Ordering::SeqCst);
+        // relocation storm mid-teardown. The raise wakes the heartbeat
+        // now, not a beat later.
+        drop(self.ctl.inner.raise_shutdown());
         if let Some(hb) = self.heartbeat.take() {
             let _ = hb.join();
         }
@@ -1523,13 +1525,27 @@ mod tests {
 
     /// A peer that connects to the control channel and never sends its
     /// hello line must fail the handshake inside the deadline instead of
-    /// hanging `launch` / `restart_worker` on a blocking read.
+    /// hanging `launch` / `restart_worker` on a blocking read; so must a
+    /// peer that never connects, and a spent deadline fails at once.
     #[test]
     fn silent_peer_fails_the_hello_inside_its_deadline() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let silent = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let addr = listener.local_addr().expect("addr");
+        let deadline = Duration::from_millis(150);
+
+        // Nobody connects: the accept ends at the deadline, not before.
         let t0 = Instant::now();
-        let err = accept_hello(&listener, t0 + Duration::from_millis(150))
+        let err = accept_hello(&listener, t0 + deadline).expect_err("nobody connected");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let waited = t0.elapsed();
+        assert!(
+            waited >= deadline && waited < Duration::from_secs(5),
+            "the accept ended {waited:?} after a {deadline:?} deadline"
+        );
+
+        let silent = TcpStream::connect(addr).expect("connect");
+        let t0 = Instant::now();
+        let err = accept_hello(&listener, t0 + deadline)
             .expect_err("a silent peer has no hello to accept");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(
@@ -1537,12 +1553,57 @@ mod tests {
             "the read outlived its deadline: {:?}",
             t0.elapsed()
         );
-        // ... and a peer that does speak is still accepted afterwards.
-        let mut talker = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+
+        // A spent deadline fails at once and leaves a waiting peer queued...
+        let mut talker = TcpStream::connect(addr).expect("connect");
         writeln!(talker, "{{\"node\":1,\"epoch\":2,\"port\":3}}").expect("send hello");
+        let t0 = Instant::now();
+        let err = accept_hello(&listener, t0).expect_err("the deadline is spent");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "a spent deadline still waited {:?}",
+            t0.elapsed()
+        );
+        // ... so a peer that does speak is still accepted afterwards.
         let (_, _, node, epoch, port) =
             accept_hello(&listener, Instant::now() + Duration::from_secs(5)).expect("hello");
         assert_eq!((node, epoch, port), (1, 2, 3));
         drop(silent);
+    }
+
+    /// The handshake is driven by the peer's arrival, not by a polling
+    /// quantum: in twenty rounds a peer connects and says hello about
+    /// 1 ms after `accept_hello` starts, and the median round returns
+    /// within 1 ms of the hello being sent — a 5 ms poll leaves ≈ 4 ms.
+    /// The median, not the total, so a host whose other load delays a
+    /// few wake-ups by a scheduler slice does not fail the test.
+    #[test]
+    fn a_hello_is_accepted_as_soon_as_it_arrives() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut lags: Vec<Duration> = (0..20u16)
+            .map(|round| {
+                let peer = thread::spawn(move || {
+                    thread::sleep(Duration::from_millis(1));
+                    let mut peer = TcpStream::connect(addr).expect("connect");
+                    writeln!(peer, "{{\"node\":0,\"epoch\":0,\"port\":{round}}}")
+                        .expect("send hello");
+                    (peer, Instant::now())
+                });
+                let (_, _, _, _, port) =
+                    accept_hello(&listener, Instant::now() + Duration::from_secs(5))
+                        .expect("hello");
+                let accepted = Instant::now();
+                assert_eq!(port, round);
+                let (_, sent) = peer.join().expect("peer thread");
+                accepted.saturating_duration_since(sent)
+            })
+            .collect();
+        lags.sort();
+        assert!(
+            lags[lags.len() / 2] < Duration::from_millis(1),
+            "hello-to-accept lags: {lags:?}"
+        );
     }
 }

@@ -20,6 +20,10 @@
 //!   restarted, twice a link queue's worth of fault → `forget` cycles
 //!   return at once.
 //!
+//! A second, orchestrated TCP cluster (its workers pick the config from
+//! their tag) checks that teardown does not wait out a heartbeat: with a
+//! 2 s interval, `shutdown` still returns well inside one.
+//!
 //! `harness = false` because this binary re-executes itself as the
 //! cluster's worker processes: the worker check must run before anything
 //! else in `main`.
@@ -35,6 +39,9 @@ use dataflower_rt::{
 use dataflower_workflow::{SizeModel, WorkModel, Workflow, WorkflowBuilder};
 
 const TAG: &str = "two_media";
+/// The tag of the orchestrated cluster whose shutdown is timed.
+const HEARTBEAT_TAG: &str = "two_media_heartbeat";
+const HEARTBEAT: Duration = Duration::from_secs(2);
 const NODES: usize = 2;
 const RETRANSMIT: Duration = Duration::from_millis(50);
 /// Short enough to observe within the test, long enough that no healthy
@@ -68,19 +75,25 @@ fn placement() -> Placement {
 }
 
 /// Recovery on (so every cross-endpoint transfer is retained and acked)
-/// and a janitor TTL the test can wait out.
-fn config() -> ClusterConfig {
-    ClusterConfig {
+/// and a janitor TTL the test can wait out; `HEARTBEAT_TAG` adds the
+/// orchestrator with a slow heartbeat.
+fn config(tag: &str) -> ClusterConfig {
+    let cfg = ClusterConfig {
         sink_ttl: Some(SINK_TTL),
         recovery: Some(RETRANSMIT),
         ..ClusterConfig::default()
+    };
+    match tag {
+        TAG => cfg,
+        HEARTBEAT_TAG => cfg.heartbeat(HEARTBEAT, 3),
+        other => panic!("unknown cluster tag {other:?}"),
     }
 }
 
-fn builder() -> ClusterRuntimeBuilder {
+fn builder(tag: &str) -> ClusterRuntimeBuilder {
     ClusterRuntimeBuilder::new(workflow())
         .placement(placement())
-        .config(config())
+        .config(config(tag))
         .register("head", |ctx| {
             let input = ctx.input("in").expect("head input").clone();
             if input.first() == Some(&SLOW_MARK) {
@@ -316,29 +329,55 @@ fn dead_node_never_blocks_release(medium: &'static str, c: &dyn Client) {
     watchdog.join().expect("watchdog thread");
 }
 
+/// The coordinator's heartbeat sleeps on the shutdown condvar: an
+/// orchestrated cluster with a 2 s interval, torn down right after one
+/// request, is gone in well under an interval.
+fn shutdown_does_not_wait_out_a_heartbeat() {
+    let tcp = TcpCluster::launch(
+        workflow(),
+        placement(),
+        config(HEARTBEAT_TAG),
+        HEARTBEAT_TAG,
+    )
+    .expect("launch orchestrated TCP cluster");
+    let input = payload(b'F', 1024);
+    let req = tcp.invoke(both(&input, b"s"));
+    let outputs = tcp
+        .wait(req, Duration::from_secs(60))
+        .expect("orchestrated request completes");
+    assert!(*outputs[0].1 == expected(&input, b"s")[..]);
+    let t0 = Instant::now();
+    tcp.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with a {HEARTBEAT:?} heartbeat",
+        t0.elapsed()
+    );
+}
+
 fn main() {
     // Worker processes enter here, rebuild the runtime and never return.
     if let Some(env) = worker_env() {
-        assert_eq!(env.tag(), TAG);
-        env.serve(builder());
+        let builder = builder(env.tag());
+        env.serve(builder);
     }
 
     // An id neither cluster under test ever mints (they stay far below
     // 64 requests).
-    let other = builder().start().expect("start id donor");
+    let other = builder(TAG).start().expect("start id donor");
     let foreign = (0..64)
         .map(|_| other.invoke(Vec::new()))
         .last()
         .expect("64 ids");
     other.shutdown();
 
-    let inproc = builder().start().expect("start in-process cluster");
+    let inproc = builder(TAG).start().expect("start in-process cluster");
     let a = contract("inproc", &inproc, foreign);
     dead_node_never_blocks_release("inproc", &inproc);
     inproc.shutdown();
 
     let tcp =
-        TcpCluster::launch(workflow(), placement(), config(), TAG).expect("launch TCP cluster");
+        TcpCluster::launch(workflow(), placement(), config(TAG), TAG).expect("launch TCP cluster");
     let b = contract("tcp", &tcp, foreign);
     // The reassembler's fallback at its smallest: every TCP chunk is an
     // allocation of its own, so a two-chunk transfer adopts chunk 0,
@@ -361,6 +400,8 @@ fn main() {
     );
     dead_node_never_blocks_release("tcp", &tcp);
     tcp.shutdown();
+
+    shutdown_does_not_wait_out_a_heartbeat();
 
     assert!(*a == *b, "the two media disagree on the big output");
     assert!(
