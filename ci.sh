@@ -98,9 +98,14 @@ if [ "${SKIP_BENCH_GATE:-0}" != 1 ]; then
     # Loadgen smoke gate: the open-loop load harness drives its smallest
     # config against the live cluster and compares p50/p99 per
     # cell/benchmark row against the committed baseline. Same 2x
-    # tolerance; regressions on *either* quantile fail.
+    # tolerance; regressions on *either* quantile fail. The markdown
+    # report goes to a scratch directory, so a run leaves the tracked
+    # reports/loadgen-smoke.md as committed.
+    loadgen_dir=$(mktemp -d)
     run cargo run --release -p dataflower-bench --bin bench -- \
-        loadgen --config smoke --compare LOADGEN_BASELINE.json --tolerance 100
+        loadgen --config smoke --compare LOADGEN_BASELINE.json --tolerance 100 \
+        --report "$loadgen_dir/loadgen-smoke.md"
+    rm -rf "$loadgen_dir"
 else
     echo "==> SKIP_BENCH_GATE=1; bench regression gate runs in the bench-smoke job"
 fi

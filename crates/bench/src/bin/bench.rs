@@ -480,11 +480,10 @@ fn socket_fabric_benchmarks(h: &Harness) {
         for (lo, hi) in chunk_spans(payload.len(), 16 * 1024) {
             let frame = Frame::Chunk {
                 req: 1,
-                edge: 2,
-                key: "data@producer".into(),
+                edge: EdgeId::from_index(2),
                 transfer: 3,
-                offset: lo as u64,
-                total: payload.len() as u64,
+                offset: lo,
+                total: payload.len(),
                 bytes: payload.slice(lo..hi),
             };
             let (head, body) = encode_parts(&frame);

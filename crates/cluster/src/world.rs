@@ -57,16 +57,6 @@ impl Container {
         self.state
     }
 
-    /// The container's egress bandwidth-cap link.
-    pub fn egress_link(&self) -> LinkId {
-        self.egress
-    }
-
-    /// The container's ingress bandwidth-cap link.
-    pub fn ingress_link(&self) -> LinkId {
-        self.ingress
-    }
-
     /// When the container's cold start began.
     pub fn started_at(&self) -> SimTime {
         self.started_at

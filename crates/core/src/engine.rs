@@ -310,11 +310,6 @@ impl<P: Placement> DataFlowerEngine<P> {
         }
     }
 
-    /// Bytes currently resident across all node sinks' memory tier.
-    pub fn sink_resident_bytes(&self) -> f64 {
-        self.sinks.iter().map(|s| s.resident_memory_bytes()).sum()
-    }
-
     fn ensure_sinks(&mut self, world: &World) {
         while self.sinks.len() < world.node_count() {
             self.sinks.push(WaitMatchMemory::new());

@@ -49,13 +49,6 @@ pub struct AdmissionConfig {
     pub max_inflight_total: usize,
 }
 
-impl AdmissionConfig {
-    /// True when at least one cap is set.
-    pub fn is_limiting(&self) -> bool {
-        self.max_inflight_per_tenant > 0 || self.max_inflight_total > 0
-    }
-}
-
 /// Why an arrival was turned away at the gate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejected {

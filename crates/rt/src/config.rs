@@ -172,7 +172,7 @@ impl ClusterConfig {
 
     /// Returns `self`. Kept only because `benchmark/src/sut.rs` calls it
     /// and `benchmark/**` is frozen outside `[benchmark]` PRs; the next
-    /// one drops the call and this method (ROADMAP item 1(e)).
+    /// one drops the call and this method (ROADMAP item 1(b)).
     pub fn build(self) -> ClusterConfig {
         self
     }

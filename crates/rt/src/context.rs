@@ -14,6 +14,10 @@ use crate::bytes::Bytes;
 use crate::channel::Sender;
 use crate::runtime::{resolve_put, route, DluMsg, Inner, ReqId};
 
+/// A trigger's inputs: payloads by `data@producer` name. The names are
+/// the runtime's per-edge table, shared by refcount.
+pub(crate) type Inputs = BTreeMap<Arc<str>, Bytes>;
+
 /// Destination selector for [`FluContext::put_to`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PutTarget {
@@ -42,7 +46,7 @@ pub struct FluContext {
     pub(crate) rt: Arc<Inner>,
     pub(crate) req: ReqId,
     pub(crate) src_fn: String,
-    pub(crate) inputs: BTreeMap<String, Bytes>,
+    pub(crate) inputs: Inputs,
     pub(crate) dlu: Sender<DluMsg>,
     /// Live gauges of this function's pool; `put` adds the payload to the
     /// DLU backlog so the autoscaler sees Eq. 1's `Size` term.
@@ -59,7 +63,7 @@ impl FluContext {
         rt: Arc<Inner>,
         req: ReqId,
         src_fn: String,
-        inputs: BTreeMap<String, Bytes>,
+        inputs: Inputs,
         dlu: Sender<DluMsg>,
         scale: Arc<FnScale>,
     ) -> Self {
@@ -112,19 +116,14 @@ impl FluContext {
         let prefix = format!("{name}@");
         self.inputs
             .iter()
-            .filter(|(k, _)| *k == name || k.starts_with(&prefix))
+            .filter(|&(k, _)| &**k == name || k.starts_with(&prefix))
             .map(|(_, v)| v)
             .collect()
     }
 
     /// All inputs in data-name order.
     pub fn inputs(&self) -> impl Iterator<Item = (&str, &Bytes)> {
-        self.inputs.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of inputs this invocation received.
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
+        self.inputs.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Hands `payload` to the DLU for every output edge named

@@ -80,6 +80,7 @@ use std::time::{Duration, Instant};
 use dataflower_workflow::EdgeId;
 
 use crate::bytes::Bytes;
+use crate::wire::Frame;
 
 /// Frames a link shipper drains per wakeup: one wakeup moves up to this
 /// many queued frames, instead of one `recv` per frame.
@@ -108,82 +109,6 @@ impl Default for LinkConfig {
             latency: Duration::ZERO,
             bandwidth_bytes_per_sec: None,
             queue_capacity: 128,
-        }
-    }
-}
-
-/// A message travelling over an inter-node link. Cloning is O(1) in the
-/// byte count — payloads are refcounted views — which is what lets fault
-/// injection deliver a frame twice and retention replay re-send frames
-/// without copying bytes.
-#[derive(Clone)]
-pub(crate) enum NetMsg {
-    /// An unchunked transfer: a small payload over the direct socket.
-    Whole {
-        req: u64,
-        edge: EdgeId,
-        key: String,
-        /// Transfer id, so the destination's delivery ack can release the
-        /// sender's retention entry.
-        transfer: u64,
-        payload: Bytes,
-    },
-    /// One chunk of a streaming remote-pipe transfer. `bytes` is a
-    /// zero-copy [`Bytes`] view into the sender's payload allocation.
-    Chunk {
-        req: u64,
-        edge: EdgeId,
-        key: String,
-        /// Distinguishes interleaved transfers on the same edge.
-        transfer: u64,
-        offset: usize,
-        total: usize,
-        bytes: Bytes,
-    },
-    /// Destination-side acknowledgement of a durable checkpoint mark of
-    /// a chunked transfer, flowing back to the sender so its retention
-    /// window can be trimmed. The in-process fabric applies acks as
-    /// direct function calls and never enqueues this variant; the TCP
-    /// transport carries it as a real frame.
-    AckMark {
-        /// The acknowledged transfer.
-        transfer: u64,
-        /// The durable contiguous prefix (a checkpoint-mark multiple).
-        mark: usize,
-    },
-    /// Destination-side acknowledgement that a transfer was fully
-    /// delivered (or recognized as an orphan); releases the sender's
-    /// retention entry. Like [`NetMsg::AckMark`], only the TCP transport
-    /// puts this on the wire.
-    AckComplete {
-        /// The acknowledged transfer.
-        transfer: u64,
-    },
-    /// The client collected or abandoned `req`: the receiving node drops
-    /// everything it still tracks for it. Not a pipe transfer — never
-    /// counted, retained, acked or subjected to fault injection. Only
-    /// the client endpoint of a TCP cluster emits it (in-process the
-    /// client purges every node's sink directly).
-    Release {
-        /// The released request.
-        req: u64,
-    },
-}
-
-impl NetMsg {
-    pub(crate) fn wire_bytes(&self) -> usize {
-        match self {
-            NetMsg::Whole { payload, .. } => payload.len(),
-            NetMsg::Chunk { bytes, .. } => bytes.len(),
-            NetMsg::AckMark { .. } | NetMsg::AckComplete { .. } | NetMsg::Release { .. } => 0,
-        }
-    }
-
-    pub(crate) fn starts_transfer(&self) -> bool {
-        match self {
-            NetMsg::Whole { .. } => true,
-            NetMsg::Chunk { offset, .. } => *offset == 0,
-            NetMsg::AckMark { .. } | NetMsg::AckComplete { .. } | NetMsg::Release { .. } => false,
         }
     }
 }
@@ -445,7 +370,6 @@ impl Reassembler {
 pub(crate) struct RetainedTransfer {
     pub req: u64,
     pub edge: EdgeId,
-    pub key: String,
     pub total: usize,
     /// False for direct-socket `Whole` frames, true for chunked streams.
     pub chunked: bool,
@@ -475,7 +399,7 @@ pub(crate) struct ReplaySummary {
     /// byte 0.
     pub resumed_from_mark_bytes: u64,
     /// The frames to re-deliver, in original send order per transfer.
-    pub frames: Vec<NetMsg>,
+    pub frames: Vec<Frame>,
 }
 
 /// Sender-side retention of one directed link's un-acknowledged remote
@@ -506,7 +430,6 @@ impl LinkRetention {
         transfer: u64,
         req: u64,
         edge: EdgeId,
-        key: &str,
         total: usize,
         chunked: bool,
         offset: usize,
@@ -518,7 +441,6 @@ impl LinkRetention {
             .or_insert_with(|| RetainedTransfer {
                 req,
                 edge,
-                key: key.to_owned(),
                 total,
                 chunked,
                 acked: 0,
@@ -702,26 +624,24 @@ impl LinkRetention {
 /// Builds the replay frames of one retained transfer, skipping frames
 /// that sit entirely below its acked durable prefix (§6.2: resume from
 /// the last mark, not byte 0).
-fn push_replay_frames(frames: &mut Vec<NetMsg>, id: u64, t: &RetainedTransfer) {
+fn push_replay_frames(frames: &mut Vec<Frame>, id: u64, t: &RetainedTransfer) {
     for (offset, bytes) in &t.frames {
         if *offset + bytes.len() <= t.acked {
             continue;
         }
         frames.push(if t.chunked {
-            NetMsg::Chunk {
+            Frame::Chunk {
                 req: t.req,
                 edge: t.edge,
-                key: t.key.clone(),
                 transfer: id,
                 offset: *offset,
                 total: t.total,
                 bytes: bytes.clone(),
             }
         } else {
-            NetMsg::Whole {
+            Frame::Whole {
                 req: t.req,
                 edge: t.edge,
-                key: t.key.clone(),
                 transfer: id,
                 payload: bytes.clone(),
             }
@@ -731,7 +651,7 @@ fn push_replay_frames(frames: &mut Vec<NetMsg>, id: u64, t: &RetainedTransfer) {
 
 /// Destination-side hook a link delivers into: the cluster runtime's
 /// per-node ingress.
-pub(crate) type Ingress = Arc<dyn Fn(NetMsg) + Send + Sync>;
+pub(crate) type Ingress = Arc<dyn Fn(Frame) + Send + Sync>;
 
 /// Spawns the shipper thread of one directed link `src → dst`.
 ///
@@ -750,7 +670,7 @@ pub(crate) fn spawn_link(
     src: usize,
     dst: usize,
     cfg: LinkConfig,
-    rx: crate::channel::Receiver<NetMsg>,
+    rx: crate::channel::Receiver<Frame>,
     ingress: Ingress,
     shutdown: Arc<AtomicBool>,
     depth: Arc<AtomicUsize>,
@@ -998,16 +918,7 @@ mod tests {
         let payload = Bytes::from((0..100u8).collect::<Vec<_>>());
         let mut ret = LinkRetention::default();
         for (lo, hi) in chunk_spans(payload.len(), 10) {
-            ret.retain(
-                7,
-                1,
-                edge,
-                "k",
-                payload.len(),
-                true,
-                lo,
-                payload.slice(lo..hi),
-            );
+            ret.retain(7, 1, edge, payload.len(), true, lo, payload.slice(lo..hi));
         }
         assert_eq!(ret.len(), 1);
         // Ack the 40-byte mark: the four frames below it are dropped.
@@ -1023,7 +934,7 @@ mod tests {
             .frames
             .iter()
             .map(|m| match m {
-                NetMsg::Chunk { offset, .. } => *offset,
+                Frame::Chunk { offset, .. } => *offset,
                 _ => panic!("chunked transfer"),
             })
             .collect();
@@ -1040,7 +951,7 @@ mod tests {
         let payload = Bytes::from(vec![0u8; 100]);
         let mut ret = LinkRetention::default();
         for (lo, hi) in chunk_spans(payload.len(), 10) {
-            ret.retain(3, 1, edge, "k", 100, true, lo, payload.slice(lo..hi));
+            ret.retain(3, 1, edge, 100, true, lo, payload.slice(lo..hi));
         }
         // No mark acked yet: not a usable crash window.
         assert!(!ret.has_acked_partial(10));
@@ -1049,19 +960,19 @@ mod tests {
         assert!(!ret.has_acked_partial(61), "margin larger than remainder");
         // An un-chunked Whole frame never qualifies regardless of acks.
         let mut ret = LinkRetention::default();
-        ret.retain(4, 1, edge, "k", 100, false, 0, payload.clone());
+        ret.retain(4, 1, edge, 100, false, 0, payload.clone());
         assert!(!ret.has_acked_partial(1));
     }
 
     #[test]
     fn ack_frames_cost_no_wire_bytes_and_start_nothing() {
-        let ack = NetMsg::AckMark {
+        let ack = Frame::AckMark {
             transfer: 9,
             mark: 64,
         };
         assert_eq!(ack.wire_bytes(), 0);
         assert!(!ack.starts_transfer());
-        let done = NetMsg::AckComplete { transfer: 9 };
+        let done = Frame::AckComplete { transfer: 9 };
         assert_eq!(done.wire_bytes(), 0);
         assert!(!done.starts_transfer());
     }
@@ -1074,7 +985,6 @@ mod tests {
             1,
             0,
             EdgeId::from_index(0),
-            "k",
             4,
             false,
             0,
@@ -1086,9 +996,6 @@ mod tests {
         // ...but the restart path (no staleness gate) replays it.
         let replay = ret.replay(Instant::now(), None);
         assert_eq!(replay.transfers, 1);
-        assert!(matches!(
-            replay.frames[0],
-            NetMsg::Whole { transfer: 1, .. }
-        ));
+        assert!(matches!(replay.frames[0], Frame::Whole { transfer: 1, .. }));
     }
 }

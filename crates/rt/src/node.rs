@@ -302,7 +302,6 @@ impl PlacementPolicy for LoadAware {
 
 /// One payload parked in a node's data sink.
 pub(crate) struct SinkEntry {
-    pub key: String,
     pub payload: Bytes,
     pub arrived: Instant,
     pub spilled: bool,
@@ -330,14 +329,14 @@ pub(crate) struct NodeReqState {
 }
 
 /// Lock stripes of every node's Wait-Match sink. Striping was kept
-/// because `NetMsg::Chunk` ingress runs `Reassembler::write_bytes` inside
+/// because `Frame::Chunk` ingress runs `Reassembler::write_bytes` inside
 /// `sink.with` and that was a chunk memcpy, so a single lock serialised
 /// every inbound chunk copy on a node: on `stream_large_3n` it lost
 /// `peak_rps` in 7 of 7 pairs (−8 %) and `lat_p99_heavy_ms` in 6 of 7
 /// (+5 %) — `reports/pr12-parent-vs-change.md`. The memcpy now only
 /// happens on the fallback path (TCP chunks, an in-process stream after
 /// a lost or reordered frame); in order and in process `write_bytes` is
-/// an O(1) view join. The single-lock re-test is ROADMAP item 6(a).
+/// an O(1) view join. The single-lock re-test is ROADMAP item 8(a).
 const SINK_STRIPES: usize = 16;
 
 /// The shared (thread-accessible) state of one node: its lock-striped

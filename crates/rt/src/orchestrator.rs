@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use dataflower_workflow::{EdgeId, Endpoint, FnId};
 
+use crate::context::Inputs;
 use crate::error::RtError;
 use crate::node::{least_pressured, NodeReqState, SinkEntry};
 use crate::runtime::{
@@ -301,8 +302,7 @@ fn move_sink_state(inner: &Arc<Inner>, from: usize, moved: &[(FnId, String, usiz
         }
     });
     // Pass 2: merge into the new hosts and fire any now-complete pools.
-    let mut triggers: Vec<(u64, FnId, std::collections::BTreeMap<String, crate::Bytes>)> =
-        Vec::new();
+    let mut triggers: Vec<(u64, FnId, Inputs)> = Vec::new();
     for mut m in extracted {
         for (f, _, to) in moved {
             let old_missing = m.missing.remove(f);
@@ -336,7 +336,7 @@ fn move_sink_state(inner: &Arc<Inner>, from: usize, moved: &[(FnId, String, usiz
                     let active = resolve_active(wf, m.req);
                     seed_req_state(inner, *to, &active)
                 },
-                |rs| merge_fn_state(wf, rs, *f, old_missing, old_entries, partial, &done),
+                |rs| merge_fn_state(inner, rs, *f, old_missing, old_entries, partial, &done),
             );
             if let Some(inputs) = fired {
                 triggers.push((m.req, *f, inputs));
@@ -359,14 +359,15 @@ fn edge_targets(wf: &dataflower_workflow::Workflow, edge: EdgeId, f: FnId) -> bo
 /// finished the function's inputs (the caller fires the FLU outside the
 /// stripe lock).
 fn merge_fn_state(
-    wf: &dataflower_workflow::Workflow,
+    inner: &Inner,
     rs: &mut NodeReqState,
     f: FnId,
     old_missing: Option<usize>,
     old_entries: std::collections::BTreeMap<EdgeId, SinkEntry>,
     partial: Vec<((EdgeId, u64), crate::fabric::Reassembler)>,
     done: &[(EdgeId, u64)],
-) -> Option<std::collections::BTreeMap<String, crate::Bytes>> {
+) -> Option<Inputs> {
+    let wf = &inner.workflow;
     if !rs.active.function_active(f) {
         return None;
     }
@@ -410,11 +411,11 @@ fn merge_fn_state(
     let missing = seed.saturating_sub(arrived);
     if missing == 0 && seed > 0 {
         let entries = rs.entries.remove(&f).unwrap_or_default();
-        let mut inputs = std::collections::BTreeMap::new();
-        for (_, entry) in entries {
-            inputs.insert(entry.key, entry.payload);
-        }
         rs.missing.insert(f, usize::MAX);
+        let inputs = entries
+            .into_iter()
+            .map(|(e, entry)| (Arc::clone(&inner.input_names[e.index()]), entry.payload))
+            .collect();
         return Some(inputs);
     }
     rs.missing.insert(f, missing);

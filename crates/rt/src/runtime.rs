@@ -48,8 +48,9 @@
 //! ([`NodeScheduler::set_active`]), the paper's pressure-aware
 //! scale-out with a cool-down-guarded scale-in once the DLU drained.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
 use std::thread::JoinHandle;
@@ -57,6 +58,7 @@ use std::time::{Duration, Instant};
 
 use dataflower::{choose_pipe, pressure_secs, CheckpointSchedule, PipeKind};
 use dataflower_metrics::Timeline;
+use dataflower_workflow::spec::USER_ENDPOINT;
 use dataflower_workflow::{ActiveGraph, EdgeId, Endpoint, FnId, Workflow, WorkflowSpec};
 
 use crate::admission::{AdmissionGate, Rejected, TenantStats};
@@ -64,14 +66,15 @@ use crate::autoscale::{FnScale, ScaleDirection, ScaleEvent, ScalePolicy};
 use crate::bytes::Bytes;
 use crate::channel::{bounded, Receiver, Sender};
 use crate::config::ClusterConfig;
-use crate::context::{FluContext, PutTarget};
+use crate::context::{FluContext, Inputs, PutTarget};
 use crate::error::RtError;
-use crate::fabric::{chunk_spans, spawn_link, LinkRetention, NetMsg, ReplaySummary};
+use crate::fabric::{chunk_spans, spawn_link, LinkRetention, ReplaySummary};
 use crate::fault::{FaultState, FrameFate};
 use crate::node::{NodeReqState, NodeRuntime, NodeState, Placement, PlacementPolicy, SinkEntry};
 use crate::orchestrator;
 use crate::sched::NodeScheduler;
 use crate::trace::{EventKind as TraceEventKind, FateKind, TraceEvent, TraceRecorder};
+use crate::wire::Frame;
 
 /// A request identifier issued by [`ClusterRuntime::invoke`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -330,6 +333,11 @@ impl PurgedSet {
 
 pub(crate) struct Inner {
     pub(crate) workflow: Arc<Workflow>,
+    /// The name each edge's payload carries into its consumer's
+    /// [`FluContext`] inputs, by edge index: `data@producer`, or
+    /// `data@$USER` for a client input. Built once at start, so a
+    /// trigger clones refcounts, not strings.
+    pub(crate) input_names: Vec<Arc<str>>,
     pub(crate) cfg: ClusterConfig,
     /// The live routing authority: every route/deliver/seed decision
     /// reads the placement through this lock, so the orchestrator can
@@ -483,7 +491,7 @@ impl Inner {
 /// One node's outbound fabric link senders, indexed by destination
 /// (`None` on the self-link). Shared so per-put row lookups are one Arc
 /// clone.
-pub(crate) type LinkRow = Arc<Vec<Option<Sender<NetMsg>>>>;
+pub(crate) type LinkRow = Arc<Vec<Option<Sender<Frame>>>>;
 
 /// The queue-depth gauge of the directed link `src → dst`.
 pub(crate) fn depth_of(inner: &Inner, src: usize, dst: usize) -> &AtomicUsize {
@@ -548,7 +556,7 @@ pub struct ClusterRuntimeBuilder {
 /// What [`ClusterRuntimeBuilder::start_wire`] hands the transport: the
 /// local runtime plus one outbound frame receiver per directed link this
 /// endpoint sends on (`None` at its own index).
-pub(crate) type WireStart = (ClusterRuntime, Vec<Option<Receiver<NetMsg>>>);
+pub(crate) type WireStart = (ClusterRuntime, Vec<Option<Receiver<Frame>>>);
 
 impl ClusterRuntimeBuilder {
     /// Starts building a runtime for `workflow` (single-node placement
@@ -609,7 +617,7 @@ impl ClusterRuntimeBuilder {
     /// pipe choice, streaming chunk/mark count, plus advisory scale /
     /// fault / crash / relocation events (see [`crate::trace`] for the
     /// format). Collect it with [`ClusterRuntime::trace_events`] or
-    /// [`ClusterRuntime::trace_bytes`]. In-process fabric only: a
+    /// [`ClusterRuntime::shutdown_into_trace`]. In-process fabric only: a
     /// worker-process ([`TcpCluster`]) node records nothing.
     ///
     /// [`TcpCluster`]: crate::TcpCluster
@@ -710,8 +718,21 @@ impl ClusterRuntimeBuilder {
         } else {
             Vec::new()
         };
+        let input_names = self
+            .workflow
+            .edges()
+            .iter()
+            .map(|e| {
+                let producer = match e.source {
+                    Endpoint::Function(f) => &self.workflow.function(f).name,
+                    Endpoint::Client => USER_ENDPOINT,
+                };
+                Arc::from(format!("{}@{producer}", e.data_name))
+            })
+            .collect();
         let inner = Arc::new_cyclic(|me| Inner {
             workflow: Arc::clone(&self.workflow),
+            input_names,
             cfg: self.cfg.clone(),
             placement: RwLock::new(self.placement.clone()),
             policy: self.policy.clone(),
@@ -776,7 +797,7 @@ impl ClusterRuntimeBuilder {
         // table); `signal_shutdown` clears them, which is what cascades
         // into shipper/agent exit at teardown.
         let mut fabric_threads = Vec::new();
-        let mut out_rx: Vec<Option<Receiver<NetMsg>>> = Vec::new();
+        let mut out_rx: Vec<Option<Receiver<Frame>>> = Vec::new();
         let mut rows: Vec<LinkRow> = Vec::with_capacity(endpoints);
         match wire {
             None => {
@@ -787,7 +808,7 @@ impl ClusterRuntimeBuilder {
                             row.push(None);
                             continue;
                         }
-                        let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
+                        let (tx, rx) = bounded::<Frame>(self.cfg.link.queue_capacity);
                         let ingress_inner = Arc::clone(&inner);
                         fabric_threads.push(spawn_link(
                             src,
@@ -809,7 +830,7 @@ impl ClusterRuntimeBuilder {
                     let (tx, rx) = if dst == w.local {
                         (None, None)
                     } else {
-                        let (tx, rx) = bounded::<NetMsg>(self.cfg.link.queue_capacity);
+                        let (tx, rx) = bounded::<Frame>(self.cfg.link.queue_capacity);
                         (Some(tx), Some(rx))
                     };
                     row.push(tx);
@@ -1106,26 +1127,16 @@ impl ClusterRuntime {
                     continue;
                 };
                 let dst_node = self.inner.node_of(&wf.function(dst).name);
-                let key = format!("{name}@$USER");
                 match wire {
                     // Cluster ingress: straight into the hosting node's
                     // sink, no inter-node shaping on the way in.
-                    None => deliver(&self.inner, dst_node, req, eid, key, payload.clone()),
+                    None => deliver(&self.inner, dst_node, req, eid, payload.clone()),
                     // This process is the client endpoint: the input
                     // leaves as one retained whole frame, whatever its
                     // size — a client input is not a §7 pipe transfer.
                     Some(w) if active.edge_active(eid) => {
                         if let Some(links) = self.inner.link_row(w.local) {
-                            ship_whole(
-                                &self.inner,
-                                &links,
-                                w.local,
-                                dst_node,
-                                req,
-                                eid,
-                                key,
-                                &payload,
-                            );
+                            ship_whole(&self.inner, &links, w.local, dst_node, req, eid, &payload);
                         }
                     }
                     Some(_) => {}
@@ -1190,26 +1201,15 @@ impl ClusterRuntime {
         self.inner.recorder.as_ref().map(|r| r.events())
     }
 
-    /// The recorded trace in its on-disk encoding (the [`crate::trace`]
-    /// `DFTR` format), ready to write to a file.
-    ///
-    /// This is a live snapshot: transfers off a request's critical path
-    /// (a sibling branch still shipping when the last client output
-    /// lands) record their events concurrently with
-    /// [`ClusterRuntime::wait`] returning, so a trace read while the
-    /// cluster is up may miss trailing events. For a complete trace,
-    /// use [`ClusterRuntime::shutdown_into_trace`].
-    pub fn trace_bytes(&self) -> Option<Vec<u8>> {
-        self.inner.recorder.as_ref().map(|r| r.to_bytes())
-    }
-
     /// Shuts the runtime down ([`ClusterRuntime::shutdown`]) and returns
     /// the recorded trace in its on-disk [`crate::trace`] encoding
     /// (`None` unless built with
-    /// [`ClusterRuntimeBuilder::record_trace`]). Unlike
-    /// [`ClusterRuntime::trace_bytes`], the trace is read only after
-    /// every node and fabric thread has drained and joined, so it is
-    /// guaranteed to hold every event of every completed request.
+    /// [`ClusterRuntimeBuilder::record_trace`]). The trace is read only
+    /// after every node and fabric thread has drained and joined, so it
+    /// holds every event of every completed request — including those of
+    /// a transfer off the critical path (a sibling branch still shipping
+    /// when the last client output lands), which records after
+    /// [`ClusterRuntime::wait`] returned.
     pub fn shutdown_into_trace(self) -> Option<Vec<u8>> {
         let recorder = self.inner.recorder.clone();
         self.shutdown();
@@ -1227,9 +1227,9 @@ impl ClusterRuntime {
     /// # Errors
     ///
     /// [`RtError::Timeout`] if the deadline passes first;
-    /// [`RtError::Faulted`] if any function body reported an error (e.g.
-    /// a `put` with an unknown data name); [`RtError::UnknownRequest`]
-    /// for a foreign id.
+    /// [`RtError::Faulted`] if any function body reported an error (a
+    /// `put` with an unknown data name, or a panic);
+    /// [`RtError::UnknownRequest`] for a foreign id.
     pub fn wait(&self, req: ReqId, timeout: Duration) -> Result<Vec<(String, Bytes)>, RtError> {
         let deadline = Instant::now() + timeout;
         let mut reqs = self.inner.reqs.lock().expect("runtime lock poisoned");
@@ -1306,20 +1306,6 @@ impl ClusterRuntime {
             .scale
             .get(name)
             .map(|s| s.replicas.load(Ordering::Relaxed))
-    }
-
-    /// The current Eq. 1 pressure sample of function `name`, seconds:
-    /// `α · backlog / Bw − T_FLU` with the configured autoscale
-    /// coefficients. Positive means the DLU is not keeping up.
-    pub fn pressure_of(&self, name: &str) -> Option<f64> {
-        let s = self.inner.scale.get(name)?;
-        let auto = &self.inner.cfg.autoscale;
-        Some(pressure_secs(
-            auto.alpha,
-            s.backlog_bytes.load(Ordering::Relaxed) as f64,
-            auto.drain_bw_bytes_per_sec,
-            s.t_flu.lock().expect("t_flu lock poisoned").get_or(0.0),
-        ))
     }
 
     /// Bytes currently sitting in (or being drained from) the DLU queues
@@ -1500,12 +1486,7 @@ impl fmt::Debug for ClusterRuntime {
 /// consistent with detached teardown. A node whose DLU sender is gone
 /// (shutdown, or a remote node in wire mode) drops the invocation the
 /// same way the old per-function queues did on disconnect.
-pub(crate) fn submit_invoke(
-    inner: &Inner,
-    name: &str,
-    req: ReqId,
-    inputs: BTreeMap<String, Bytes>,
-) {
+pub(crate) fn submit_invoke(inner: &Inner, name: &str, req: ReqId, inputs: Inputs) {
     let node = inner.node_of(name);
     let Some(dlu) = inner.dlu_sender(node) else {
         return;
@@ -1529,7 +1510,7 @@ fn run_invocation(
     inner: Arc<Inner>,
     fn_name: &str,
     req: ReqId,
-    inputs: BTreeMap<String, Bytes>,
+    inputs: Inputs,
     body: &Body,
     dlu: Sender<DluMsg>,
     scale: &Arc<FnScale>,
@@ -1553,18 +1534,46 @@ fn run_invocation(
         Arc::clone(scale),
     );
     let t0 = Instant::now();
-    body(&mut ctx);
-    // Eq. 1's T_FLU is compute time: discount what the body spent
-    // blocked in `put` behind a saturated DLU or link queue, or
-    // backpressure would masquerade as useful work and suppress the very
-    // pressure it signals.
-    let t_flu = t0.elapsed().saturating_sub(ctx.blocked);
-    scale
-        .t_flu
-        .lock()
-        .expect("t_flu lock poisoned")
-        .push(t_flu.as_secs_f64());
+    // A panicking body fails its request, not the scheduler worker that
+    // runs it: the worker stays alive and the live gauge is undone.
+    match panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+        Ok(()) => {
+            // Eq. 1's T_FLU is compute time: discount what the body spent
+            // blocked in `put` behind a saturated DLU or link queue, or
+            // backpressure would masquerade as useful work and suppress
+            // the very pressure it signals.
+            let t_flu = t0.elapsed().saturating_sub(ctx.blocked);
+            scale
+                .t_flu
+                .lock()
+                .expect("t_flu lock poisoned")
+                .push(t_flu.as_secs_f64());
+        }
+        Err(cause) => {
+            let msg = cause
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| cause.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            fail_request(
+                &ctx.rt,
+                req.0,
+                format!("function `{fn_name}` panicked: {msg}"),
+            );
+        }
+    }
     scale.live.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Records a fault against `req` — what [`ClusterRuntime::wait`] reports
+/// as [`RtError::Faulted`]. A request this process does not track (a
+/// worker process's, or one already collected) has nobody to tell.
+fn fail_request(inner: &Inner, req: u64, error: String) {
+    let mut reqs = inner.reqs.lock().expect("runtime lock poisoned");
+    if let Some(rs) = reqs.get_mut(&req) {
+        rs.errors.push(error);
+        inner.done.notify_all();
+    }
 }
 
 /// One node's merged DLU daemon: drains the node-wide put queue — the
@@ -1805,31 +1814,24 @@ pub(crate) fn route(inner: &Inner, msg: DluMsg, plan: Option<PutPlan>) {
     for &(eid, via) in &plan.hops {
         match via {
             None => complete_output(inner, msg.req.0, eid, msg.payload.clone()),
-            Some((dst_node, kind)) => {
-                let key = format!("{}@{}", msg.data_name, msg.src_fn);
-                ship(
-                    inner,
-                    &links,
-                    plan.src_node,
-                    dst_node,
-                    kind,
-                    msg.req,
-                    eid,
-                    key,
-                    &msg.payload,
-                );
-            }
+            Some((dst_node, kind)) => ship(
+                inner,
+                &links,
+                plan.src_node,
+                dst_node,
+                kind,
+                msg.req,
+                eid,
+                &msg.payload,
+            ),
         }
     }
     if !plan.matched {
-        let mut reqs = inner.reqs.lock().expect("runtime lock poisoned");
-        if let Some(rs) = reqs.get_mut(&msg.req.0) {
-            rs.errors.push(format!(
-                "function `{}` put unknown data `{}`",
-                msg.src_fn, msg.data_name
-            ));
-            inner.done.notify_all();
-        }
+        let error = format!(
+            "function `{}` put unknown data `{}`",
+            msg.src_fn, msg.data_name
+        );
+        fail_request(inner, msg.req.0, error);
     }
 }
 
@@ -1840,13 +1842,12 @@ pub(crate) fn route(inner: &Inner, msg: DluMsg, plan: Option<PutPlan>) {
 #[allow(clippy::too_many_arguments)]
 fn ship(
     inner: &Inner,
-    links: &[Option<Sender<NetMsg>>],
+    links: &[Option<Sender<Frame>>],
     src_node: usize,
     dst_node: usize,
     kind: PipeKind,
     req: ReqId,
     edge: EdgeId,
-    key: String,
     payload: &Bytes,
 ) {
     let len = payload.len();
@@ -1870,13 +1871,13 @@ fn ship(
                 .direct_socket_transfers
                 .fetch_add(1, Ordering::Relaxed);
             if src_node == dst_node {
-                deliver(inner, dst_node, req, edge, key, payload.clone());
+                deliver(inner, dst_node, req, edge, payload.clone());
             } else {
                 inner
                     .counters
                     .remote_bytes
                     .fetch_add(len as u64, Ordering::Relaxed);
-                ship_whole(inner, links, src_node, dst_node, req, edge, key, payload);
+                ship_whole(inner, links, src_node, dst_node, req, edge, payload);
             }
         }
         PipeKind::LocalPipe => {
@@ -1884,7 +1885,7 @@ fn ship(
                 .counters
                 .local_pipe_transfers
                 .fetch_add(1, Ordering::Relaxed);
-            deliver(inner, dst_node, req, edge, key, payload.clone());
+            deliver(inner, dst_node, req, edge, payload.clone());
         }
         PipeKind::RemotePipe => {
             inner
@@ -1899,7 +1900,7 @@ fn ship(
                 // Nothing to stream: chunk_spans yields no spans for an
                 // empty payload, so ship one direct frame instead of a
                 // useless empty chunk.
-                ship_whole(inner, links, src_node, dst_node, req, edge, key, payload);
+                ship_whole(inner, links, src_node, dst_node, req, edge, payload);
                 return;
             }
             let link = links[dst_node].as_ref().expect("cross-node link exists");
@@ -1941,13 +1942,12 @@ fn ship(
                     retention_of(inner, src_node, dst_node)
                         .lock()
                         .expect("retention lock poisoned")
-                        .retain(transfer, req.0, edge, &key, len, true, lo, bytes.clone());
+                        .retain(transfer, req.0, edge, len, true, lo, bytes.clone());
                 }
                 depth.fetch_add(1, Ordering::Relaxed);
-                let sent = link.send(NetMsg::Chunk {
+                let sent = link.send(Frame::Chunk {
                     req: req.0,
                     edge,
-                    key: key.clone(),
                     transfer,
                     offset: lo,
                     total: len,
@@ -1965,15 +1965,13 @@ fn ship(
 /// Ships one unchunked cross-node frame, registering it in the §6.2
 /// retention window first (when recovery is on) so a frame lost at a
 /// crashed node stays replayable.
-#[allow(clippy::too_many_arguments)]
 fn ship_whole(
     inner: &Inner,
-    links: &[Option<Sender<NetMsg>>],
+    links: &[Option<Sender<Frame>>],
     src_node: usize,
     dst_node: usize,
     req: ReqId,
     edge: EdgeId,
-    key: String,
     payload: &Bytes,
 ) {
     let link = links[dst_node].as_ref().expect("cross-node link exists");
@@ -1987,7 +1985,6 @@ fn ship_whole(
                 transfer,
                 req.0,
                 edge,
-                &key,
                 payload.len(),
                 false,
                 0,
@@ -1995,10 +1992,9 @@ fn ship_whole(
             );
     }
     depth.fetch_add(1, Ordering::Relaxed);
-    let sent = link.send(NetMsg::Whole {
+    let sent = link.send(Frame::Whole {
         req: req.0,
         edge,
-        key,
         transfer,
         payload: payload.clone(),
     });
@@ -2019,7 +2015,7 @@ pub(crate) fn retention_of(inner: &Inner, src: usize, dst: usize) -> &Mutex<Link
 /// frame's fate (drop / duplicate / delayed wakeup) before handing the
 /// frame to [`handle_net_msg`]. With no fault plan, the whole wrapper is
 /// one `Option` check.
-pub(crate) fn chaos_ingress(inner: &Inner, src: usize, dst: usize, msg: NetMsg) {
+pub(crate) fn chaos_ingress(inner: &Inner, src: usize, dst: usize, msg: Frame) {
     if let Some(fs) = &inner.faults {
         let frame = fs.next_frame();
         for kill in fs.take_due_kills(frame) {
@@ -2096,7 +2092,7 @@ enum ChunkProgress {
 /// contiguous prefix crosses). In wire mode, ack frames arriving *back*
 /// from a receiver are applied to the local (sender-side) retention
 /// window here too.
-pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: NetMsg) {
+pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Frame) {
     // Relocation forwarding: a data frame addressed to a node that no
     // longer hosts its target function chases the live placement
     // instead of dying with the old address. Checked *before* the
@@ -2122,7 +2118,7 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                 // the new host would miss it and the old-link entry
                 // would retransmit forever.
                 None if inner.cfg.recovery.is_some() => {
-                    if let NetMsg::Whole { transfer, .. } | NetMsg::Chunk { transfer, .. } = &msg {
+                    if let Frame::Whole { transfer, .. } | Frame::Chunk { transfer, .. } = &msg {
                         let moved = retention_of(inner, src, dst_node)
                             .lock()
                             .expect("retention lock poisoned")
@@ -2149,27 +2145,28 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
         return;
     }
     match msg {
+        // The connection preamble: the transport reads it, the data
+        // plane has nothing to do with it.
+        Frame::Hello { .. } => {}
         // `src` acknowledged (a mark of) a transfer *we* sent on the
         // directed link `dst_node → src`.
-        ack @ (NetMsg::AckMark { .. } | NetMsg::AckComplete { .. }) => {
+        ack @ (Frame::AckMark { .. } | Frame::AckComplete { .. }) => {
             apply_ack(inner, dst_node, src, ack);
         }
         // The client collected or abandoned the request.
-        NetMsg::Release { req } => purge_request(inner, req),
-        NetMsg::Whole {
+        Frame::Release { req } => purge_request(inner, req),
+        Frame::Whole {
             req,
             edge,
-            key,
             transfer,
             payload,
         } => {
-            deliver(inner, dst_node, ReqId(req), edge, key, payload);
-            ack(inner, src, dst_node, NetMsg::AckComplete { transfer });
+            deliver(inner, dst_node, ReqId(req), edge, payload);
+            ack(inner, src, dst_node, Frame::AckComplete { transfer });
         }
-        NetMsg::Chunk {
+        Frame::Chunk {
             req,
             edge,
-            key,
             transfer,
             offset,
             total,
@@ -2204,12 +2201,10 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                 }
             });
             match progress {
-                ChunkProgress::Orphan => {
-                    ack(inner, src, dst_node, NetMsg::AckComplete { transfer })
-                }
+                ChunkProgress::Orphan => ack(inner, src, dst_node, Frame::AckComplete { transfer }),
                 ChunkProgress::Complete(payload) => {
-                    deliver(inner, dst_node, ReqId(req), edge, key, payload);
-                    ack(inner, src, dst_node, NetMsg::AckComplete { transfer });
+                    deliver(inner, dst_node, ReqId(req), edge, payload);
+                    ack(inner, src, dst_node, Frame::AckComplete { transfer });
                 }
                 ChunkProgress::Prefix(prefix) => {
                     // Ack the last checkpoint mark the contiguous prefix
@@ -2218,7 +2213,7 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
                     let interval = inner.cfg.checkpoint_interval_bytes;
                     let mark = (prefix / interval) * interval;
                     if mark > 0 {
-                        ack(inner, src, dst_node, NetMsg::AckMark { transfer, mark });
+                        ack(inner, src, dst_node, Frame::AckMark { transfer, mark });
                     }
                 }
             }
@@ -2229,7 +2224,7 @@ pub(crate) fn handle_net_msg(inner: &Inner, src: usize, dst_node: usize, msg: Ne
 /// Enqueues `msg` on this wire endpoint's outbound link toward the remote
 /// endpoint `dst`, where the transport's link agent picks it up. Dropped
 /// once shutdown cleared the link rows.
-fn wire_send(inner: &Inner, w: &WireState, dst: usize, msg: NetMsg) {
+fn wire_send(inner: &Inner, w: &WireState, dst: usize, msg: Frame) {
     let Some(links) = inner.link_row(w.local) else {
         return;
     };
@@ -2237,7 +2232,7 @@ fn wire_send(inner: &Inner, w: &WireState, dst: usize, msg: NetMsg) {
         return;
     };
     // The agent takes every data frame it dequeues off the gauge.
-    let data = matches!(msg, NetMsg::Whole { .. } | NetMsg::Chunk { .. });
+    let data = matches!(msg, Frame::Whole { .. } | Frame::Chunk { .. });
     if data {
         depth_of(inner, w.local, dst).fetch_add(1, Ordering::Relaxed);
     }
@@ -2253,7 +2248,7 @@ fn wire_send(inner: &Inner, w: &WireState, dst: usize, msg: NetMsg) {
 /// why recovery latency scales with the re-sent volume the checkpoint
 /// interval bounds. A remote endpoint gets it through the outbound wire
 /// queue like any other frame.
-pub(crate) fn emit(inner: &Inner, src: usize, dst: usize, msg: NetMsg) {
+pub(crate) fn emit(inner: &Inner, src: usize, dst: usize, msg: Frame) {
     match &inner.wire {
         Some(w) if dst != w.local => wire_send(inner, w, dst, msg),
         _ => {
@@ -2274,7 +2269,7 @@ pub(crate) fn emit(inner: &Inner, src: usize, dst: usize, msg: NetMsg) {
 /// the sender's retention window lives in this process the ack is a
 /// direct call into it; when the sender is another OS process the ack
 /// becomes a frame enqueued back over the wire.
-fn ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
+fn ack(inner: &Inner, src: usize, dst: usize, ack: Frame) {
     if inner.cfg.recovery.is_none() {
         return;
     }
@@ -2287,7 +2282,7 @@ fn ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
 /// Applies an ack to the local retention window of the directed link
 /// `src → dst` (`src` is the sender — in wire mode, this process),
 /// counting the checkpoint marks a mark ack crossed.
-fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
+fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: Frame) {
     if inner.cfg.recovery.is_none() {
         return;
     }
@@ -2295,10 +2290,10 @@ fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
         .lock()
         .expect("retention lock poisoned");
     match ack {
-        NetMsg::AckComplete { transfer } => {
+        Frame::AckComplete { transfer } => {
             window.ack_complete(transfer);
         }
-        NetMsg::AckMark { transfer, mark } => {
+        Frame::AckMark { transfer, mark } => {
             if let Some(prev) = window.ack_mark(transfer, mark) {
                 let cp = CheckpointSchedule::new(inner.cfg.checkpoint_interval_bytes as f64);
                 inner.counters.acked_marks.fetch_add(
@@ -2307,7 +2302,7 @@ fn apply_ack(inner: &Inner, src: usize, dst: usize, ack: NetMsg) {
                 );
             }
         }
-        NetMsg::Whole { .. } | NetMsg::Chunk { .. } | NetMsg::Release { .. } => {}
+        _ => {}
     }
 }
 
@@ -2321,12 +2316,8 @@ pub(crate) fn resolve_active(wf: &Workflow, req: u64) -> Arc<ActiveGraph> {
 /// The node currently hosting the target function of a data frame, per
 /// the live placement — `None` for ack frames and client-output frames
 /// (whose destination is an endpoint, not a function).
-fn frame_target_node(inner: &Inner, msg: &NetMsg) -> Option<usize> {
-    let edge = match msg {
-        NetMsg::Whole { edge, .. } | NetMsg::Chunk { edge, .. } => *edge,
-        _ => return None,
-    };
-    match inner.workflow.edge(edge).target {
+fn frame_target_node(inner: &Inner, msg: &Frame) -> Option<usize> {
+    match inner.workflow.edge(msg.edge()?).target {
         Endpoint::Function(t) => Some(inner.node_of(&inner.workflow.function(t).name)),
         Endpoint::Client => None,
     }
@@ -2435,7 +2426,7 @@ pub(crate) fn purge_request(inner: &Inner, req: u64) {
     if let Some(w) = inner.wire.as_ref().filter(|w| w.local == w.client) {
         for (worker, node) in inner.nodes[..w.client].iter().enumerate() {
             if !node.down.load(Ordering::SeqCst) {
-                wire_send(inner, w, worker, NetMsg::Release { req });
+                wire_send(inner, w, worker, Frame::Release { req });
             }
         }
     }
@@ -2498,7 +2489,7 @@ pub(crate) fn retention_sources(inner: &Inner) -> std::ops::Range<usize> {
 /// Books one replay sweep into the recovery counters — as a retransmit
 /// when it swept ack-stale transfers only, as a recovery otherwise — and
 /// hands back the frames to re-send.
-pub(crate) fn account_replay(inner: &Inner, summary: ReplaySummary, stale: bool) -> Vec<NetMsg> {
+pub(crate) fn account_replay(inner: &Inner, summary: ReplaySummary, stale: bool) -> Vec<Frame> {
     let c = &inner.counters;
     if stale {
         c.retransmitted_transfers
@@ -2509,7 +2500,7 @@ pub(crate) fn account_replay(inner: &Inner, summary: ReplaySummary, stale: bool)
         c.resumed_from_mark_bytes
             .fetch_add(summary.resumed_from_mark_bytes, Ordering::Relaxed);
     }
-    let bytes: usize = summary.frames.iter().map(NetMsg::wire_bytes).sum();
+    let bytes: usize = summary.frames.iter().map(Frame::wire_bytes).sum();
     c.replayed_frames
         .fetch_add(summary.frames.len() as u64, Ordering::Relaxed);
     c.replayed_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
@@ -2527,7 +2518,7 @@ pub(crate) fn take_replay(
     src: usize,
     dst: usize,
     older_than: Option<Duration>,
-) -> Vec<NetMsg> {
+) -> Vec<Frame> {
     let summary = retention_of(inner, src, dst)
         .lock()
         .expect("retention lock poisoned")
@@ -2603,13 +2594,13 @@ fn complete_output(inner: &Inner, req: u64, edge: EdgeId, payload: Bytes) {
 /// Inserts data for `edge` into the destination node's sink; triggers the
 /// destination FLU when its inputs are complete (proactive release: the
 /// inputs leave the sink as the invocation message).
-fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String, payload: Bytes) {
+fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, payload: Bytes) {
     /// What one delivery did under the sink stripe lock.
     enum Delivered {
         /// Dropped (untracked request / inactive branch) or parked.
         Done,
         /// Completed the consumer's inputs: trigger its FLU.
-        Ready(BTreeMap<String, Bytes>),
+        Ready(Inputs),
         /// The consumer moved off this node after the migration sweep
         /// copied this stripe: un-parked, re-deliver at the new host.
         Moved(SinkEntry),
@@ -2642,7 +2633,6 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
                 .count()
         };
         let entry = SinkEntry {
-            key,
             payload,
             arrived: Instant::now(),
             spilled: false,
@@ -2663,11 +2653,11 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
             // from the sink. The sentinel guards against double-trigger
             // on duplicate final delivery.
             let entries = rs.entries.remove(&dst).unwrap_or_default();
-            let mut inputs = BTreeMap::new();
-            for (_, entry) in entries {
-                inputs.insert(entry.key, entry.payload);
-            }
             *missing = usize::MAX;
+            let inputs = entries
+                .into_iter()
+                .map(|(e, entry)| (Arc::clone(&inner.input_names[e.index()]), entry.payload))
+                .collect();
             return Delivered::Ready(inputs);
         }
         let sentinel = *missing == usize::MAX;
@@ -2706,14 +2696,7 @@ fn deliver(inner: &Inner, dst_node: usize, req: ReqId, edge: EdgeId, key: String
                 .counters
                 .forwarded_frames
                 .fetch_add(1, Ordering::Relaxed);
-            deliver(
-                inner,
-                inner.node_of(name),
-                req,
-                edge,
-                entry.key,
-                entry.payload,
-            );
+            deliver(inner, inner.node_of(name), req, edge, entry.payload);
         }
     }
 }
@@ -2786,7 +2769,7 @@ mod tests {
             Arc::clone(inner),
             req,
             "src".into(),
-            BTreeMap::new(),
+            Inputs::new(),
             dlu.clone(),
             Arc::clone(&inner.scale["src"]),
         )
@@ -2917,7 +2900,7 @@ mod tests {
             let rx = rx.as_ref().expect("outbound link");
             assert_eq!(rx.try_drain(&mut frames, 8), Ok(1), "endpoint {endpoint}");
             assert!(
-                matches!(&frames[0], NetMsg::Whole { payload, .. } if payload.len() == SMALL),
+                matches!(&frames[0], Frame::Whole { payload, .. } if payload.len() == SMALL),
                 "endpoint {endpoint}"
             );
         }

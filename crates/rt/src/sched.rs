@@ -24,7 +24,7 @@
 //! (`notify_all`), and the woken herd re-parks on the park lock without
 //! touching the queue lock the producers are using. Folding both under
 //! one mutex was measured and lost closed-loop throughput on the
-//! end-to-end benchmark (ROADMAP item 3).
+//! end-to-end benchmark (ROADMAP item 1).
 //!
 //! Shutdown keeps the drain guarantee: [`NodeScheduler::stop`] lets every
 //! worker — retired slots included — keep executing until the queue is

@@ -1,10 +1,10 @@
 //! Real TCP transport and worker-process cluster mode.
 //!
-//! The in-process fabric ships `NetMsg` frames between threads of one
+//! The in-process fabric ships [`Frame`]s between threads of one
 //! process; this module promotes every directed link to a real
-//! `std::net::TcpStream` speaking the versioned [`wire`](crate::wire)
-//! frame format, and runs **one OS process per endpoint** of the same
-//! runtime:
+//! `std::net::TcpStream` carrying the same frames in their versioned
+//! [`wire`](crate::wire) encoding, and runs **one OS process per
+//! endpoint** of the same runtime:
 //!
 //! * [`TcpCluster::launch`] (the *coordinator*) re-executes the current
 //!   binary once per node with `DATAFLOWER_WORKER_*` environment
@@ -67,14 +67,14 @@ use crate::bytes::Bytes;
 use crate::channel::Receiver;
 use crate::config::ClusterConfig;
 use crate::error::RtError;
-use crate::fabric::{NetMsg, SHIPPER_BATCH};
+use crate::fabric::SHIPPER_BATCH;
 use crate::node::{least_pressured, Placement};
 use crate::orchestrator::{activate_pool, rehome_retention};
 use crate::runtime::{
     chaos_ingress, depth_of, handle_net_msg, node_pressure_of, retention_of, take_replay,
     ClusterRuntime, ClusterRuntimeBuilder, CrashReport, Inner, ReqId, RtStats, WireSpec,
 };
-use crate::wire::{encode_msg, encode_parts, net_of, Decoder, Frame};
+use crate::wire::{encode_head, encode_parts, Decoder, Frame};
 
 const ENV_NODE: &str = "DATAFLOWER_WORKER_NODE";
 const ENV_EPOCH: &str = "DATAFLOWER_WORKER_EPOCH";
@@ -216,9 +216,7 @@ impl WorkerEnv {
             let path = self.dir.join(format!("node{}.log", self.node));
             let (log, restored) = CkptLog::open(&path).expect("open checkpoint log");
             for (src, frame) in restored {
-                if let Some(msg) = net_of(frame) {
-                    handle_net_msg(&inner, src as usize, self.node, msg);
-                }
+                handle_net_msg(&inner, src as usize, self.node, frame);
             }
             Arc::new(log)
         });
@@ -367,7 +365,7 @@ impl AddrCell {
 fn spawn_agents(
     inner: &Arc<Inner>,
     spec: WireSpec,
-    out_rx: Vec<Option<Receiver<NetMsg>>>,
+    out_rx: Vec<Option<Receiver<Frame>>>,
     addrs: &[Arc<AddrCell>],
 ) -> Vec<thread::JoinHandle<()>> {
     out_rx
@@ -387,8 +385,8 @@ fn spawn_agents(
 /// whatever run `stage` already holds and leave as one write, then the
 /// payload goes out as a second `write_all` straight from its zero-copy
 /// [`Bytes`] view. Leaves `stage` empty.
-fn write_split(stream: &mut TcpStream, stage: &mut Vec<u8>, msg: &NetMsg) -> io::Result<()> {
-    let payload = encode_msg(msg, stage);
+fn write_split(stream: &mut TcpStream, stage: &mut Vec<u8>, msg: &Frame) -> io::Result<()> {
+    let payload = encode_head(msg, stage);
     let sent = stream
         .write_all(stage)
         .and_then(|()| payload.map_or(Ok(()), |p| stream.write_all(p)));
@@ -416,14 +414,14 @@ fn link_agent(
     inner: Arc<Inner>,
     spec: WireSpec,
     dst: usize,
-    rx: Receiver<NetMsg>,
+    rx: Receiver<Frame>,
     addr: Arc<AddrCell>,
 ) {
     let local = spec.local;
     // Every data frame leaves the link's backpressure gauge as it leaves
     // the queue.
-    let dequeued = |m: &NetMsg| {
-        if matches!(m, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
+    let dequeued = |m: &Frame| {
+        if matches!(m, Frame::Whole { .. } | Frame::Chunk { .. }) {
             depth_of(&inner, local, dst).fetch_sub(1, Ordering::Relaxed);
         }
     };
@@ -431,11 +429,11 @@ fn link_agent(
     let shaped = link.latency > Duration::ZERO || link.bandwidth_bytes_per_sec.is_some();
     let mut conn: Option<TcpStream> = None;
     let mut had_session = false;
-    let mut backlog: VecDeque<NetMsg> = VecDeque::new();
+    let mut backlog: VecDeque<Frame> = VecDeque::new();
     // The burst in hand and the staging buffer its small-frame runs are
     // encoded into, both reused across bursts (`stage` is empty between
     // writes).
-    let mut batch: Vec<NetMsg> = Vec::with_capacity(SHIPPER_BATCH);
+    let mut batch: Vec<Frame> = Vec::with_capacity(SHIPPER_BATCH);
     let mut stage: Vec<u8> = Vec::new();
     // The preamble of every connection this agent dials.
     let (hello, _) = encode_parts(&Frame::Hello {
@@ -519,7 +517,7 @@ fn link_agent(
                 if m.wire_bytes() > STAGED_FRAME_BYTES {
                     return write_split(stream, &mut stage, m);
                 }
-                if let Some(payload) = encode_msg(m, &mut stage) {
+                if let Some(payload) = encode_head(m, &mut stage) {
                     stage.extend_from_slice(payload);
                 }
                 Ok(())
@@ -557,22 +555,24 @@ impl CkptLog {
     /// request the log holds no `Release` for, plus the `Release`s
     /// themselves (they rebuild the purged set, so a late retransmission
     /// cannot re-seed a finished request). A torn trailing record (crash
-    /// mid-append) is ignored.
+    /// mid-append) is cut off the file, so the records this incarnation
+    /// appends follow the last whole one.
     fn open(path: &Path) -> io::Result<(CkptLog, Vec<(u32, Frame)>)> {
         let mut restored = Vec::new();
         let mut released = std::collections::HashSet::new();
+        // Where the torn tail starts, if the previous incarnation left one.
+        let mut torn_at = None;
         if let Ok(bytes) = std::fs::read(path) {
             let mut pos = 0usize;
             while bytes.len() - pos >= 8 {
                 let src = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
                 let len = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"))
                     as usize;
-                pos += 8;
-                if bytes.len() - pos < len {
+                let Some(record) = bytes.get(pos + 8..pos + 8 + len) else {
                     break;
-                }
+                };
                 let mut dec = Decoder::new();
-                dec.feed(&bytes[pos..pos + len]);
+                dec.feed(record);
                 match dec.next_frame() {
                     Ok(Some(frame)) => {
                         if let Frame::Release { req } = frame {
@@ -582,8 +582,9 @@ impl CkptLog {
                     }
                     _ => break,
                 }
-                pos += len;
+                pos += 8 + len;
             }
+            torn_at = (pos < bytes.len()).then_some(pos);
         }
         restored.retain(|(_, frame)| match frame {
             Frame::Whole { req, .. } | Frame::Chunk { req, .. } => !released.contains(req),
@@ -593,6 +594,9 @@ impl CkptLog {
             .create(true)
             .append(true)
             .open(path)?;
+        if let Some(len) = torn_at {
+            file.set_len(len as u64)?;
+        }
         Ok((
             CkptLog {
                 file: Mutex::new(file),
@@ -639,17 +643,18 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>, log: Option<Arc<CkptLog
 /// the runtime's ingress, acks and releases straight to it (they bypass
 /// chaos — a lost ack is healed by the retransmit sweep anyway). So no
 /// frame is dispatched, let alone acked, before its record is in the log.
-/// A decode error, or a burst that cannot be logged, drops the
-/// connection with that burst undispatched; retention replays whatever
-/// was in flight.
+/// A decode error, a data frame on an edge outside the workflow, or a
+/// burst that cannot be logged drops the connection with that burst
+/// undispatched; retention replays whatever was in flight.
 fn reader(inner: Arc<Inner>, log: Option<Arc<CkptLog>>, mut stream: TcpStream) {
     let local = inner.wire.as_ref().expect("wire endpoint").local;
     let _ = stream.set_nodelay(true);
     let mut dec = Decoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut src: Option<usize> = None;
-    let mut burst: Vec<NetMsg> = Vec::new();
+    let mut burst: Vec<Frame> = Vec::new();
     let mut records: Vec<u8> = Vec::new();
+    let edges = inner.workflow.edges().len();
     loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => return,
@@ -663,12 +668,14 @@ fn reader(inner: Arc<Inner>, log: Option<Arc<CkptLog>>, mut stream: TcpStream) {
                     let Some(src) = src.filter(|s| *s < inner.nodes.len()) else {
                         return;
                     };
-                    let Some(msg) = net_of(frame) else { continue };
-                    let acks = matches!(msg, NetMsg::AckMark { .. } | NetMsg::AckComplete { .. });
+                    if frame.edge().is_some_and(|e| e.index() >= edges) {
+                        return;
+                    }
+                    let acks = matches!(frame, Frame::AckMark { .. } | Frame::AckComplete { .. });
                     if log.is_some() && !acks {
                         CkptLog::stage(&mut records, src as u32, raw);
                     }
-                    burst.push(msg);
+                    burst.push(frame);
                 }
                 Ok(None) => break,
                 Err(_) => return,
@@ -682,7 +689,7 @@ fn reader(inner: Arc<Inner>, log: Option<Arc<CkptLog>>, mut stream: TcpStream) {
         }
         for msg in burst.drain(..) {
             let src = src.expect("frames follow the hello");
-            if matches!(msg, NetMsg::Whole { .. } | NetMsg::Chunk { .. }) {
+            if matches!(msg, Frame::Whole { .. } | Frame::Chunk { .. }) {
                 chaos_ingress(&inner, src, local, msg);
             } else {
                 handle_net_msg(&inner, src, local, msg);
@@ -1083,17 +1090,6 @@ impl TcpCluster {
         self.ctl.inner.nodes[node].lost.load(Ordering::SeqCst)
     }
 
-    /// Declares `node` permanently lost right now — the manual override
-    /// of the heartbeat detector (which calls the same path after the
-    /// miss threshold). Relocates its functions to the least-pressured
-    /// survivors and re-sends every retained transfer that pointed at
-    /// it. Idempotent; losing the last node is a no-op.
-    pub fn declare_worker_lost(&self, node: usize) {
-        if node < self.ctl.workers.len() {
-            coord_relocate(&self.ctl, node);
-        }
-    }
-
     /// Invokes the workflow with client inputs `(data_name, payload)`:
     /// ships each input to its destination node as a retained wire
     /// frame. Returns immediately; collect with [`TcpCluster::wait`].
@@ -1365,15 +1361,14 @@ impl std::fmt::Debug for TcpCluster {
 mod tests {
     use super::*;
 
-    use dataflower_workflow::{SizeModel, WorkModel, WorkflowBuilder};
+    use dataflower_workflow::{EdgeId, SizeModel, WorkModel, WorkflowBuilder};
 
     use crate::wire::encode_into;
 
     fn data_frame(req: u64, transfer: u64) -> Frame {
         Frame::Whole {
             req,
-            edge: 0,
-            key: "in@$USER".into(),
+            edge: EdgeId::from_index(0),
             transfer,
             payload: Bytes::from(vec![req as u8; 40]),
         }
@@ -1434,6 +1429,37 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A torn tail is cut off when the log is reopened: the records the
+    /// next incarnation appends must follow the last whole record, or the
+    /// incarnation after it reads them as the rest of the torn one and
+    /// loses them.
+    #[test]
+    fn records_appended_after_a_torn_tail_survive_the_next_reopen() {
+        let path = temp_log("torn");
+        let (log, _) = CkptLog::open(&path).expect("create log");
+        let mut record = Vec::new();
+        CkptLog::stage(&mut record, 2, &raw(&data_frame(1, 10)));
+        log.append(&record).expect("append whole record");
+        let mut torn = Vec::new();
+        CkptLog::stage(&mut torn, 2, &raw(&data_frame(2, 20)));
+        log.append(&torn[..torn.len() - 7]).expect("append torn");
+        drop(log);
+
+        let (log, restored) = CkptLog::open(&path).expect("reopen log");
+        assert_eq!(restored, vec![(2, data_frame(1, 10))]);
+        let mut record = Vec::new();
+        CkptLog::stage(&mut record, 2, &raw(&data_frame(3, 30)));
+        log.append(&record).expect("append after reopen");
+        drop(log);
+
+        let (_, restored) = CkptLog::open(&path).expect("reopen again");
+        assert_eq!(
+            restored,
+            vec![(2, data_frame(1, 10)), (2, data_frame(3, 30))]
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// Group commit changes how often the log is written, not what is in
     /// it: one burst of three frames leaves the record sequence of three
     /// single appends.
@@ -1464,11 +1490,11 @@ mod tests {
         let _ = std::fs::remove_file(&single);
     }
 
-    /// Feeds a fresh one-node worker endpoint three client inputs in one
-    /// write through a [`reader`] logging to `log`; returns how many of
-    /// them the reader delivered (counted on its own thread, so exact
-    /// once it is joined).
-    fn delivered_behind(log: CkptLog) -> u64 {
+    /// Feeds a fresh one-node worker endpoint `frames` in one write,
+    /// behind a `Hello`, through a [`reader`] logging to `log`; returns how
+    /// many of them the reader delivered (counted on its own thread, so
+    /// exact once it is joined).
+    fn delivered_behind(log: Option<CkptLog>, frames: &[Frame]) -> u64 {
         let mut b = WorkflowBuilder::new("logged");
         let f = b.function("f", WorkModel::fixed(0.0));
         b.client_input(f, "in", SizeModel::Fixed(40.0));
@@ -1487,10 +1513,10 @@ mod tests {
         let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (conn, _) = listener.accept().expect("accept");
         let inner = Arc::clone(&rt.inner);
-        let reading = thread::spawn(move || reader(inner, Some(Arc::new(log)), conn));
+        let reading = thread::spawn(move || reader(inner, log.map(Arc::new), conn));
         let mut session = raw(&Frame::Hello { node: 1, epoch: 0 });
-        for req in 0..3 {
-            session.extend_from_slice(&raw(&data_frame(req, 100 + req)));
+        for frame in frames {
+            session.extend_from_slice(&raw(frame));
         }
         peer.write_all(&session).expect("send burst");
         // A reader that refuses the burst hangs up; one that serves it
@@ -1510,7 +1536,8 @@ mod tests {
     fn a_burst_that_cannot_be_logged_is_not_dispatched() {
         let path = temp_log("reader");
         let (log, _) = CkptLog::open(&path).expect("create log");
-        assert_eq!(delivered_behind(log), 3);
+        let inputs: Vec<Frame> = (0..3).map(|r| data_frame(r, 100 + r)).collect();
+        assert_eq!(delivered_behind(Some(log), &inputs), 3);
         let (_, restored) = CkptLog::open(&path).expect("reopen log");
         let expected: Vec<(u32, Frame)> = (0..3).map(|r| (1, data_frame(r, 100 + r))).collect();
         assert_eq!(restored, expected);
@@ -1519,8 +1546,22 @@ mod tests {
         let unwritable = CkptLog {
             file: Mutex::new(std::fs::File::open(&path).expect("open read-only")),
         };
-        assert_eq!(delivered_behind(unwritable), 0);
+        assert_eq!(delivered_behind(Some(unwritable), &inputs), 0);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A data frame on an edge the workflow does not have drops the
+    /// connection: the reader thread returns instead of panicking on the
+    /// edge lookup, and nothing of the burst is dispatched.
+    #[test]
+    fn a_frame_on_an_unknown_edge_drops_the_connection() {
+        let stray = Frame::Whole {
+            req: 0,
+            edge: EdgeId::from_index(10_000),
+            transfer: 1,
+            payload: Bytes::from(vec![0u8; 40]),
+        };
+        assert_eq!(delivered_behind(None, &[data_frame(1, 2), stray]), 0);
     }
 
     /// A peer that connects to the control channel and never sends its

@@ -139,6 +139,87 @@ fn wait_times_out_when_a_function_stalls() {
     rt.shutdown();
 }
 
+/// wc(1) whose bodies pass their input along, and whose `count_0`
+/// panics on the input `boom` — through the panic hook, with a `String`
+/// payload — and on `hush` by a silent unwind with a `&str` payload.
+fn panicky_wc() -> ClusterRuntime {
+    ClusterRuntimeBuilder::new(wc_workflow(1))
+        .register("start", |ctx| {
+            let text = ctx.input("text").expect("input").clone();
+            ctx.put("file", text);
+        })
+        .register("count_0", |ctx| {
+            let file = ctx.input("file").expect("input").clone();
+            match &*file {
+                b"boom" => panic!("asked to fail with {} bytes", file.len()),
+                b"hush" => std::panic::resume_unwind(Box::new("asked to fail")),
+                _ => ctx.put("counts", file),
+            }
+        })
+        .register("merge", |ctx| {
+            let counts = ctx.input("counts").expect("input").clone();
+            ctx.put("result", counts);
+        })
+        .start()
+        .unwrap()
+}
+
+#[test]
+fn a_panicking_body_faults_its_request_at_once() {
+    let rt = panicky_wc();
+    let req = rt.invoke(vec![("text".into(), Bytes::from_static(b"boom"))]);
+    let err = rt.wait(req, Duration::from_millis(100)).unwrap_err();
+    assert_eq!(
+        err,
+        RtError::Faulted("function `count_0` panicked: asked to fail with 4 bytes".into())
+    );
+    rt.forget(req);
+    rt.shutdown();
+}
+
+#[test]
+fn panicking_bodies_leave_the_node_serving() {
+    let rt = panicky_wc();
+    let reqs: Vec<_> = (0..64)
+        .map(|_| rt.invoke(vec![("text".into(), Bytes::from_static(b"hush"))]))
+        .collect();
+    for req in reqs {
+        let err = rt.wait(req, Duration::from_secs(5)).unwrap_err();
+        assert_eq!(
+            err,
+            RtError::Faulted("function `count_0` panicked: asked to fail".into())
+        );
+        rt.forget(req);
+    }
+    let req = rt.invoke(vec![("text".into(), Bytes::from_static(b"fine"))]);
+    let outputs = rt
+        .wait(req, Duration::from_secs(5))
+        .expect("a good request completes");
+    assert_eq!(
+        outputs,
+        vec![("result".to_string(), Bytes::from_static(b"fine"))]
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn shutdown_after_a_panic_returns_promptly() {
+    let rt = panicky_wc();
+    let req = rt.invoke(vec![("text".into(), Bytes::from_static(b"hush"))]);
+    assert!(matches!(
+        rt.wait(req, Duration::from_secs(5)),
+        Err(RtError::Faulted(_))
+    ));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        rt.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("shutdown returns within 1 s of a panicked invocation");
+}
+
 #[test]
 fn wait_with_expired_deadline_times_out_instead_of_panicking() {
     // Regression test for the deadline arithmetic in `wait`: a wakeup

@@ -223,11 +223,6 @@ impl FlowNet {
         Some(flow.remaining)
     }
 
-    /// Bytes still to transfer for `id` as of the last settle point.
-    pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id.0).map(|f| f.remaining)
-    }
-
     /// Current rate of `id` in bytes per second.
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
         self.flows.get(&id.0).map(|f| f.rate)

@@ -1324,19 +1324,13 @@ fn wire_frames_roundtrip_over_loopback_tcp_in_random_splits() {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 
-    use dataflower_rt::wire::encode_parts;
+    use dataflower_rt::wire::{encode_parts, MAX_TRANSFER};
     use dataflower_rt::{Bytes, Frame};
 
-    /// One random frame covering every wire kind, with keys and payloads
-    /// of arbitrary (including zero) length.
+    /// One random frame covering every wire kind, with payloads of
+    /// arbitrary (including zero) length. Chunks draw only spans the
+    /// decoder accepts: `offset + len <= total <= MAX_TRANSFER`.
     fn frame(g: &mut Gen) -> Frame {
-        let key = |g: &mut Gen| -> String {
-            g.vec(0, 24, |g| {
-                b"abcdefgh@_0123456789"[g.usize_in(0, 20)] as char
-            })
-            .into_iter()
-            .collect()
-        };
         let bytes =
             |g: &mut Gen| -> Bytes { Bytes::from(g.vec(0, 4096, |g| g.usize_in(0, 256) as u8)) };
         match g.usize_in(0, 6) {
@@ -1346,23 +1340,25 @@ fn wire_frames_roundtrip_over_loopback_tcp_in_random_splits() {
             },
             1 => Frame::Whole {
                 req: g.u64_in(0, 1 << 40),
-                edge: g.u64_in(0, 1 << 16) as u32,
-                key: key(g),
+                edge: EdgeId::from_index(g.usize_in(0, 1 << 16)),
                 transfer: g.u64_in(0, 1 << 40),
                 payload: bytes(g),
             },
-            2 => Frame::Chunk {
-                req: g.u64_in(0, 1 << 40),
-                edge: g.u64_in(0, 1 << 16) as u32,
-                key: key(g),
-                transfer: g.u64_in(0, 1 << 40),
-                offset: g.u64_in(0, 1 << 30),
-                total: g.u64_in(0, 1 << 30),
-                bytes: bytes(g),
-            },
+            2 => {
+                let bytes = bytes(g);
+                let total = g.usize_in(bytes.len(), MAX_TRANSFER + 1);
+                Frame::Chunk {
+                    req: g.u64_in(0, 1 << 40),
+                    edge: EdgeId::from_index(g.usize_in(0, 1 << 16)),
+                    transfer: g.u64_in(0, 1 << 40),
+                    offset: g.usize_in(0, total - bytes.len() + 1),
+                    total,
+                    bytes,
+                }
+            }
             3 => Frame::AckMark {
                 transfer: g.u64_in(0, 1 << 40),
-                mark: g.u64_in(0, 1 << 30),
+                mark: g.usize_in(0, 1 << 30),
             },
             4 => Frame::AckComplete {
                 transfer: g.u64_in(0, 1 << 40),
